@@ -9,10 +9,10 @@ under fire*:
 * **Load phase** — a closed-loop generator drives concurrent client
   sessions against a single in-process server and reports throughput,
   p50/p95/p99 turn latency, and the query-cache hit rate.
-* **Refresh drill** — both front ends (thread and asyncio) take
-  repeated zero-downtime KB swaps (``POST /refresh``) while closed-loop
-  clients stay in flight; passes only with zero failed requests, zero
-  wrong answers, and zero stale cache hits served across the swaps.
+* **Refresh drill** — the server takes repeated zero-downtime KB swaps
+  (``POST /refresh``) while closed-loop clients stay in flight; passes
+  only with zero failed requests, zero wrong answers, and zero stale
+  cache hits served across the swaps.
 * **Recovery drill** (``--workers >= 2``) — spawns the session-affine
   router over real worker subprocesses, spreads sessions across them
   (every turn committed to the journal with ``fsync=always``), then
@@ -20,9 +20,6 @@ under fire*:
   idempotent ``client_turn_id``s; afterwards every session's durable
   transcript is compared against every turn a client saw acknowledged.
   The acceptance criterion is **zero lost committed turns**.
-
-``--frontend async`` switches every serving process to the asyncio
-front end (``repro.serving.aio``) and adds two phases:
 
 * **Overload gate** (the ROADMAP saturation gate) — a baseline wave at
   capacity, then a deliberate 2x-overload wave against a server with a
@@ -35,7 +32,10 @@ front end (``repro.serving.aio``) and adds two phases:
   thread-per-request clients) opens every session against the durable
   multi-worker router, then revisits all of them wave by wave, so all
   N sessions are concurrently live; durable transcripts are verified
-  afterwards.  Full mode drives >= 10k sessions.
+  afterwards (``--workers >= 2``).  Full mode drives >= 10k sessions.
+
+Every serving process runs the one asyncio front end
+(``repro.serving.frontend``).
 
 Two modes:
 
@@ -51,7 +51,6 @@ artifact upload.  Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke --json out.json
     PYTHONPATH=src python benchmarks/bench_serving.py --workers 3 --sessions 1500
-    PYTHONPATH=src python benchmarks/bench_serving.py --frontend async
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from repro.medical import (
     build_mdx_space,
 )
 from repro.persistence.router import SessionRouter, affinity
-from repro.serving import AsyncConversationServer, ConversationServer
+from repro.serving import AsyncConversationServer
 
 #: Load-phase concurrent client sessions (full / smoke).
 CLIENTS, SMOKE_CLIENTS = 50, 12
@@ -263,16 +262,11 @@ def export_artifacts(agent: ConversationAgent, out: Path) -> None:
 # -- load phase ---------------------------------------------------------------
 
 
-def run_load_phase(
-    agent: ConversationAgent, clients: int, frontend: str = "thread"
-) -> dict[str, Any]:
+def run_load_phase(agent: ConversationAgent, clients: int) -> dict[str, Any]:
     drugs = [
         row[0] for row in agent.database.query("SELECT name FROM drug").rows
     ][:8]
-    server_cls = (
-        AsyncConversationServer if frontend == "async" else ConversationServer
-    )
-    server = server_cls(
+    server = AsyncConversationServer(
         agent, port=0, max_workers=64, max_pending=512, request_timeout=60.0
     )
     with server:
@@ -321,7 +315,6 @@ def run_load_phase(
         cache_stats = server.app.cache.stats()
 
     return {
-        "frontend": frontend,
         "clients": clients,
         "turns": len(flat),
         "wall_s": round(wall, 3),
@@ -341,7 +334,7 @@ def run_load_phase(
 
 
 def run_refresh_drill(
-    agent_factory, frontend: str, refreshes: int = 2, clients: int = 8
+    agent_factory, refreshes: int = 2, clients: int = 8
 ) -> dict[str, Any]:
     """Swap the KB under live traffic; prove zero failed and zero stale.
 
@@ -367,10 +360,7 @@ def run_refresh_drill(
     drugs = [
         row[0] for row in agent.database.query("SELECT name FROM drug").rows
     ][:8]
-    server_cls = (
-        AsyncConversationServer if frontend == "async" else ConversationServer
-    )
-    server = server_cls(
+    server = AsyncConversationServer(
         agent, port=0, max_workers=32, max_pending=256,
         request_timeout=60.0, kb_builder=kb_builder,
     )
@@ -441,7 +431,6 @@ def run_refresh_drill(
         refresh_total = int(_metric_value(metrics_text, "kb_refresh_total"))
 
     return {
-        "frontend": frontend,
         "clients": clients,
         "refreshes_requested": refreshes,
         "refreshes_completed": len(refresh_bodies),
@@ -467,7 +456,7 @@ def run_refresh_drill(
     }
 
 
-# -- overload gate (async front end) ------------------------------------------
+# -- overload gate ------------------------------------------------------------
 
 
 def _metric_value(metrics_text: str, needle: str) -> float:
@@ -593,7 +582,7 @@ def run_async_drill(
     sessions: int,
     drugs: list[str],
 ) -> dict[str, Any]:
-    """N concurrently live sessions against async workers, verified.
+    """N concurrently live sessions against durable workers, verified.
 
     Wave scheduling: every session commits turn *t* before any session
     starts turn *t + 1*, so after the first wave all N sessions are
@@ -616,7 +605,6 @@ def run_async_drill(
             "--data", str(artifacts / "kb"),
             "--name", "Micromedex",
             "--domain", "drug reference",
-            "--async",
             # Durable, group-fsync'd journals: the drill proves scale,
             # the SIGKILL drill (fsync=always) proves crash safety.
             "--fsync", "interval",
@@ -729,7 +717,6 @@ def run_recovery_drill(
     workers: int,
     sessions: int,
     drugs: list[str],
-    use_async: bool = False,
 ) -> dict[str, Any]:
     """Kill a worker under load; prove no committed turn was lost."""
     # Workers are fresh interpreters; they need an absolute import path.
@@ -747,8 +734,6 @@ def run_recovery_drill(
         "--max-sessions", str(max(sessions + 16, 64)),
         "--cache-size", "64",
     ]
-    if use_async:
-        worker_args.append("--async")
     router = SessionRouter(
         workers,
         data_dir,
@@ -891,11 +876,6 @@ def main(argv: list[str] | None = None) -> int:
         help="drill sessions (default: 1000, or 60 with --smoke)",
     )
     parser.add_argument(
-        "--frontend", choices=("thread", "async"), default="thread",
-        help="serving front end under test; 'async' adds the overload "
-             "gate and the async session drill",
-    )
-    parser.add_argument(
         "--async-sessions", type=int, default=None,
         help="async-drill concurrently live sessions "
              "(default: 10000, or 300 with --smoke)",
@@ -912,9 +892,9 @@ def main(argv: list[str] | None = None) -> int:
 
     print("building the serving agent...")
     agent = build_agent()
-    print(f"load phase ({args.frontend} front end): {clients} concurrent "
+    print(f"load phase: {clients} concurrent "
           f"sessions x {1 + TURNS_PER_CLIENT} turns")
-    load = run_load_phase(agent, clients, args.frontend)
+    load = run_load_phase(agent, clients)
     print(f"  throughput        {load['requests_per_second']:8.1f} req/s  "
           f"(wall {load['wall_s']}s, {load['turns']} requests)")
     print(f"  latency p50/p95/p99  {load['p50_ms']}/{load['p95_ms']}/"
@@ -924,42 +904,37 @@ def main(argv: list[str] | None = None) -> int:
     report: dict[str, Any] = {
         "benchmark": "serving",
         "mode": "smoke" if args.smoke else "full",
-        "frontend": args.frontend,
         "load": load,
     }
     ok = load["ok"] and load["cache_hit_rate"] > 0
 
-    report["refresh"] = {}
-    for drill_frontend in ("thread", "async"):
-        print(f"refresh drill ({drill_frontend} front end): "
-              "zero-downtime KB swaps under live traffic")
-        refresh = run_refresh_drill(build_agent, drill_frontend)
-        report["refresh"][drill_frontend] = refresh
-        print(f"  requests in flight{refresh['requests']:8d}  "
-              f"(failed: {refresh['failed_requests']})")
-        print(f"  swaps completed   {refresh['refreshes_completed']:8d}  "
-              f"(epoch {refresh['epoch']}, "
-              f"{refresh['refresh_seconds']} s each)")
-        print(f"  stale cache       {refresh['stale_drops']:8d} dropped, "
-              f"{refresh['stale_served']} served")
-        for line in refresh["failures"] + refresh["refresh_failures"]:
-            print(f"  PROBLEM: {line}")
-        ok = ok and refresh["ok"]
+    print("refresh drill: zero-downtime KB swaps under live traffic")
+    refresh = run_refresh_drill(build_agent)
+    report["refresh"] = refresh
+    print(f"  requests in flight{refresh['requests']:8d}  "
+          f"(failed: {refresh['failed_requests']})")
+    print(f"  swaps completed   {refresh['refreshes_completed']:8d}  "
+          f"(epoch {refresh['epoch']}, "
+          f"{refresh['refresh_seconds']} s each)")
+    print(f"  stale cache       {refresh['stale_drops']:8d} dropped, "
+          f"{refresh['stale_served']} served")
+    for line in refresh["failures"] + refresh["refresh_failures"]:
+        print(f"  PROBLEM: {line}")
+    ok = ok and refresh["ok"]
 
-    if args.frontend == "async":
-        print(f"overload gate: capacity {OVERLOAD_CAPACITY}, baseline at "
-              f"capacity then 2x overload")
-        overload = run_overload_phase(agent, args.smoke)
-        report["overload"] = overload
-        base, over = overload["baseline"], overload["overload"]
-        print(f"  baseline p99      {base['p99_ms']:8.2f} ms  "
-              f"({base['admitted_per_second']} adm/s)")
-        print(f"  overload p99      {over['p99_ms']:8.2f} ms  "
-              f"({over['admitted_per_second']} adm/s; bound "
-              f"{overload['p99_bound_ms']} ms)")
-        print(f"  shed as 503       {over['rejected']:8d}  (metrics: "
-              f"{overload['admission_rejected_overloaded']})")
-        ok = ok and overload["ok"]
+    print(f"overload gate: capacity {OVERLOAD_CAPACITY}, baseline at "
+          f"capacity then 2x overload")
+    overload = run_overload_phase(agent, args.smoke)
+    report["overload"] = overload
+    base, over = overload["baseline"], overload["overload"]
+    print(f"  baseline p99      {base['p99_ms']:8.2f} ms  "
+          f"({base['admitted_per_second']} adm/s)")
+    print(f"  overload p99      {over['p99_ms']:8.2f} ms  "
+          f"({over['admitted_per_second']} adm/s; bound "
+          f"{overload['p99_bound_ms']} ms)")
+    print(f"  shed as 503       {over['rejected']:8d}  (metrics: "
+          f"{overload['admission_rejected_overloaded']})")
+    ok = ok and overload["ok"]
 
     if args.workers >= 2:
         with tempfile.TemporaryDirectory(prefix="repro-drill-") as tmp:
@@ -975,7 +950,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"{args.workers} workers, SIGKILL under load")
             drill = run_recovery_drill(
                 artifacts, tmp_path / "data", args.workers, sessions, drugs,
-                use_async=args.frontend == "async",
             )
             report["drill"] = drill
             print(f"  sessions          {drill['sessions_completed']:8d}  "
@@ -989,26 +963,25 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  PROBLEM: {line}")
             ok = ok and drill["ok"]
 
-            if args.frontend == "async":
-                print(f"async session drill: {async_sessions} concurrently "
-                      f"live sessions across {args.workers} async workers")
-                async_drill = run_async_drill(
-                    artifacts, tmp_path / "async-data", args.workers,
-                    async_sessions, drugs,
-                )
-                report["async_drill"] = async_drill
-                print(f"  live at once      "
-                      f"{async_drill['concurrent_live_sessions']:8d}")
-                print(f"  turns committed   "
-                      f"{async_drill['turns_committed']:8d}  "
-                      f"({async_drill['turns_per_second']} turns/s)")
-                print(f"  transcripts ok    "
-                      f"{async_drill['transcripts_verified']:8d} sampled, "
-                      f"{async_drill['lost_committed_turns']} lost")
-                for line in (async_drill["lost_detail"]
-                             + async_drill["errors"]):
-                    print(f"  PROBLEM: {line}")
-                ok = ok and async_drill["ok"]
+            print(f"async session drill: {async_sessions} concurrently "
+                  f"live sessions across {args.workers} workers")
+            async_drill = run_async_drill(
+                artifacts, tmp_path / "async-data", args.workers,
+                async_sessions, drugs,
+            )
+            report["async_drill"] = async_drill
+            print(f"  live at once      "
+                  f"{async_drill['concurrent_live_sessions']:8d}")
+            print(f"  turns committed   "
+                  f"{async_drill['turns_committed']:8d}  "
+                  f"({async_drill['turns_per_second']} turns/s)")
+            print(f"  transcripts ok    "
+                  f"{async_drill['transcripts_verified']:8d} sampled, "
+                  f"{async_drill['lost_committed_turns']} lost")
+            for line in (async_drill["lost_detail"]
+                         + async_drill["errors"]):
+                print(f"  PROBLEM: {line}")
+            ok = ok and async_drill["ok"]
 
     report["ok"] = ok
     if args.json:

@@ -65,8 +65,8 @@ class LintConfig:
     #: Methods treated as request handlers wherever L004 applies, in
     #: addition to ``do_*`` methods of ``*HTTPRequestHandler`` classes.
     handler_methods: tuple[str, ...] = (
-        "handle", "chat", "feedback", "health", "_turn", "_dispatch",
-        "forward",
+        "_process_request", "handle", "chat", "feedback", "health",
+        "_turn", "forward", "broadcast",
     )
     #: Path substrings whose modules are in L004's blast radius (the
     #: request path); ``*HTTPRequestHandler`` subclasses are always in.

@@ -1091,6 +1091,17 @@ class _BodyWalker:
                     caught=self._caught(),
                 )
             )
+        deferred = self._executor_target(node)
+        if deferred is not None:
+            # The function runs on a pool thread that holds none of the
+            # caller's locks; its result and exceptions come back at
+            # the caller's await.
+            self.function.calls.append(
+                CallSite(
+                    callee=deferred, line=node.lineno, held=frozenset(),
+                    caught=self._caught(),
+                )
+            )
         unresolved = callee is None
         if unresolved and isinstance(node.func, ast.Name):
             target = self.resolver.lookup(node.func.id)
@@ -1115,6 +1126,25 @@ class _BodyWalker:
         self._record_blocking(node, held)
         self._record_io(node, held)
         self._record_registration(node)
+
+    def _executor_target(self, node: ast.Call) -> "FunctionModel | None":
+        """The project function ``loop.run_in_executor(pool, fn, ...)``
+        hands to its pool, if resolvable."""
+        func = node.func
+        if not (
+            isinstance(func, ast.Attribute)
+            and func.attr == "run_in_executor"
+            and len(node.args) >= 2
+        ):
+            return None
+        target = node.args[1]
+        if isinstance(target, ast.Attribute):
+            owner = self._receiver_class(target.value)
+            return owner.find_method(target.attr) if owner is not None else None
+        if isinstance(target, ast.Name):
+            found = self.resolver.lookup(target.id)
+            return found if isinstance(found, FunctionModel) else None
+        return None
 
     def _record_blocking(self, node: ast.Call, held: frozenset) -> None:
         name = _dotted_name(node.func)

@@ -61,8 +61,8 @@ class RaceConfig:
     #: appear in a handler module, plus ``do_*`` methods of
     #: ``*HTTPRequestHandler`` subclasses.
     handler_methods: tuple[str, ...] = (
-        "handle", "chat", "feedback", "health", "_turn", "_dispatch",
-        "forward",
+        "_process_request", "handle", "chat", "feedback", "health",
+        "_turn", "forward", "broadcast",
     )
     #: Path substrings whose modules are on the request path.
     handler_modules: tuple[str, ...] = ("serving", "persistence")

@@ -325,11 +325,12 @@ def cmd_serve(
 
     ``run_forever=False`` starts and immediately drains (for tests).
 
-    Any shape takes ``--async``: each serving process swaps its
-    thread-per-connection listener for the asyncio front end
-    (``repro.serving.aio``), gaining ``POST /chat/stream`` and the
-    front-end admission knobs (``--rate-limit``/``--rate-burst``/
-    ``--accept-queue``).
+    Every shape serves HTTP on the one asyncio front end
+    (``repro.serving.frontend``): the app's processes add
+    ``POST /chat/stream`` and the front-end admission knobs
+    (``--rate-limit``/``--rate-burst``/``--accept-queue``), which the
+    router passes on to its workers.  ``--async`` is accepted and
+    ignored.
     """
     if args.worker_index is not None:
         return _serve_worker(args, output_fn, run_forever)
@@ -342,8 +343,6 @@ def cmd_serve(
     if not run_forever:
         server.start()
     output_fn(f"Serving on {server.address} (Ctrl-C to drain and stop)")
-    if args.use_async:
-        output_fn("  async front end: POST /chat/stream streams turn events")
     if args.data_dir:
         output_fn(f"  durable sessions under {args.data_dir} "
                   f"(fsync={args.fsync})")
@@ -360,12 +359,16 @@ def cmd_serve(
 def _make_server(
     args: argparse.Namespace, agent, data_dir, **extra: object
 ):
-    """One serving process: threaded by default, asyncio with --async."""
-    from repro.serving import AsyncConversationServer, ConversationServer
+    """One serving process: the app on the asyncio front end."""
+    from repro.serving import AsyncConversationServer
 
-    common: dict = dict(
+    return AsyncConversationServer(
+        agent,
         host=args.host,
         port=args.port,
+        rate_limit=args.rate_limit,
+        rate_burst=args.rate_burst,
+        accept_queue=args.accept_queue,
         max_sessions=args.max_sessions,
         session_ttl=args.session_ttl,
         cache_size=args.cache_size,
@@ -376,17 +379,8 @@ def _make_server(
         data_dir=data_dir,
         fsync=args.fsync,
         snapshot_every=args.snapshot_every,
+        **extra,
     )
-    common.update(extra)
-    if args.use_async:
-        return AsyncConversationServer(
-            agent,
-            rate_limit=args.rate_limit,
-            rate_burst=args.rate_burst,
-            accept_queue=args.accept_queue,
-            **common,
-        )
-    return ConversationServer(agent, **common)
 
 
 def _interrupt_once() -> Callable[[int, object], None]:
@@ -489,14 +483,10 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
         "--request-timeout", str(args.request_timeout),
         "--fsync", args.fsync,
         "--snapshot-every", str(args.snapshot_every),
+        "--rate-limit", str(args.rate_limit),
+        "--rate-burst", str(args.rate_burst),
+        "--accept-queue", str(args.accept_queue),
     ]
-    if args.use_async:
-        worker_args += [
-            "--async",
-            "--rate-limit", str(args.rate_limit),
-            "--rate-burst", str(args.rate_burst),
-            "--accept-queue", str(args.accept_queue),
-        ]
     router = SessionRouter(
         args.workers,
         args.data_dir,
@@ -510,7 +500,7 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
               f"(per-worker slices in {args.data_dir}/workers/)")
     if not run_forever:
         router.start()
-        router.stop()
+        router.shutdown()
         return 0
     router.serve_forever()
     output_fn("Router stopped; workers terminated.")
@@ -660,18 +650,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="turn-executor thread pool size per process")
     serve.add_argument("--request-timeout", type=float, default=30.0,
                        help="per-turn timeout, seconds (504 past it)")
-    serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="asyncio front end: keep-alive scales past "
-                            "thread-per-connection and POST /chat/stream "
-                            "streams turn events (SSE)")
+    # Accepted and ignored: the asyncio front end is the only one, and
+    # existing command lines (the repo benchmark's among them) pass it.
+    serve.add_argument("--async", dest="async_ignored", action="store_true",
+                       help=argparse.SUPPRESS)
     serve.add_argument("--rate-limit", type=float, default=0.0,
-                       help="async: sustained turns/second allowed per "
-                            "session (0 disables the token bucket)")
+                       help="sustained turns/second allowed per session "
+                            "(0 disables the token bucket)")
     serve.add_argument("--rate-burst", type=float, default=8.0,
-                       help="async: token-bucket burst size per session")
+                       help="token-bucket burst size per session")
     serve.add_argument("--accept-queue", type=int, default=256,
-                       help="async: max requests in flight on the front "
-                            "end before shedding 503 queue_full")
+                       help="max requests in flight on the front end "
+                            "before shedding 503 queue_full")
     serve.add_argument("--log", default=None,
                        help="interaction-log path, flushed on shutdown")
     serve.add_argument("--data-dir", default=None,

@@ -32,8 +32,10 @@ its sessions fail fast with ``503 worker_unavailable`` — clients retry
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import logging
 import signal
 import subprocess
 import sys
@@ -42,12 +44,15 @@ import time
 import urllib.error
 import urllib.request
 import zlib
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
+from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import RouterError
+from repro.serving.frontend import AsyncHTTPServer, Request
 from repro.serving.metrics import MetricsRegistry
+
+logger = logging.getLogger("repro.persistence.router")
 
 #: Ready file a worker writes into its worker directory once listening.
 READY_FILE = "worker.json"
@@ -56,6 +61,11 @@ READY_FILE = "worker.json"
 #: may build an agent from scratch (the full MDX build takes a while),
 #: so this is generous; pass ``spawn_timeout`` to tighten it in tests.
 DEFAULT_SPAWN_TIMEOUT = 180.0
+
+#: Forwarding threads per worker: ``forward`` blocks on its worker's
+#: reply, so this bounds the requests in flight to each worker (the
+#: worker's default ``--turn-threads``).
+FORWARD_THREADS_PER_WORKER = 16
 
 
 def worker_dir(data_dir: str | Path, index: int) -> Path:
@@ -73,6 +83,21 @@ def affinity(session_id: str, workers: int) -> int:
     if sid.isdigit():
         return int(sid) % workers
     return zlib.crc32(sid.encode("utf-8")) % workers
+
+
+def _session_id(path: str, body: bytes | None) -> str | None:
+    """The ``session_id`` a request names, in its query or JSON body."""
+    query = parse_qs(urlsplit(path).query)
+    if "session_id" in query:
+        return query["session_id"][0]
+    if body:
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError):
+            return None
+        sid = payload.get("session_id") if isinstance(payload, dict) else None
+        return str(sid) if sid is not None else None
+    return None
 
 
 class WorkerHandle:
@@ -168,13 +193,18 @@ class _WorkerConnectionPool:
             connection.close()
 
 
-class SessionRouter:
+class SessionRouter(AsyncHTTPServer):
     """Spawns, fronts and supervises N conversation-server workers.
 
     ``worker_args`` is appended to every worker's command line — the
     agent-definition flags (``--space``/``--data``/``--name`` …) and
     durability tuning (``--fsync`` …) pass through untouched, so the
     router stays agnostic of how agents are built.
+
+    The router serves on the shared asyncio front end
+    (:class:`~repro.serving.frontend.AsyncHTTPServer`); each request's
+    ``forward``/``broadcast``/``health`` stays synchronous and runs on
+    the forwarding executor, sized per worker.
     """
 
     def __init__(
@@ -191,6 +221,11 @@ class SessionRouter:
     ) -> None:
         if workers < 1:
             raise RouterError("router needs at least one worker")
+        super().__init__(
+            host, port,
+            io_threads=FORWARD_THREADS_PER_WORKER * workers,
+            name="repro-router",
+        )
         self.data_dir = Path(data_dir)
         self.worker_args = list(worker_args or [])
         self.spawn_timeout = spawn_timeout
@@ -207,27 +242,11 @@ class SessionRouter:
         self._lifecycle_lock = threading.Lock()
         self._stopping = threading.Event()
         self._monitor: threading.Thread | None = None
-        self._httpd = _RouterHTTPServer((host, port), self)
-        self._thread: threading.Thread | None = None
         self.metrics.gauge(
             "router_workers_alive",
             lambda: sum(1 for w in self.workers if w.alive),
         )
         self.metrics.gauge("router_workers_total", lambda: len(self.workers))
-
-    # -- addresses -----------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     # -- worker lifecycle ----------------------------------------------------
 
@@ -473,6 +492,44 @@ class SessionRouter:
         }).encode("utf-8")
         return 503, payload, "application/json"
 
+    # -- HTTP ------------------------------------------------------------------
+
+    async def _process_request(
+        self, request: Request, body: bytes, writer: asyncio.StreamWriter
+    ) -> bool:
+        loop = asyncio.get_running_loop()
+        try:
+            status, payload, content_type = await loop.run_in_executor(
+                self._io, self._route, request.method, request.path,
+                body or None,
+            )
+        except Exception as error:
+            logger.exception("routing %s %s failed", request.method,
+                             request.path)
+            payload = json.dumps(
+                {"error": "router_error", "message": str(error)}
+            ).encode("utf-8")
+            status, content_type = 500, "application/json"
+        await self._send(writer, status, payload, content_type)
+        return True
+
+    def _route(
+        self, method: str, path: str, body: bytes | None
+    ) -> tuple[int, bytes, str]:
+        """Answer one request on the forwarding executor."""
+        route = f"{method} {urlsplit(path).path}"
+        if route == "GET /healthz":
+            return self.health()
+        if route == "GET /metrics":
+            rendered = self.metrics.render().encode("utf-8")
+            return 200, rendered, "text/plain; version=0.0.4"
+        if route == "POST /refresh":
+            # Cluster-wide: every worker owns its own KB replica.
+            return self.broadcast(method, path, body)
+        return self.forward(
+            method, path, body, _session_id(path, body)
+        )
+
     # -- router-local endpoints ---------------------------------------------
 
     def health(self) -> tuple[int, bytes, str]:
@@ -503,34 +560,10 @@ class SessionRouter:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "SessionRouter":
-        """Spawn every worker, then serve in a background thread."""
+        """Spawn every worker and the monitor, then serve."""
         with self._lifecycle_lock:
-            if self._thread is not None:
+            if self._monitor is not None:
                 raise RuntimeError("router already started")
-        try:
-            for handle in self.workers:
-                self.spawn_worker(handle)
-        except BaseException:
-            self.stop()
-            raise
-        with self._lifecycle_lock:
-            self._monitor = threading.Thread(
-                target=self._monitor_loop,
-                name="repro-router-monitor",
-                daemon=True,
-            )
-            self._monitor.start()
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                kwargs={"poll_interval": 0.05},
-                name="repro-router",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted, then stop."""
         try:
             for handle in self.workers:
                 self.spawn_worker(handle)
@@ -541,13 +574,13 @@ class SessionRouter:
                     daemon=True,
                 )
                 self._monitor.start()
-            self._httpd.serve_forever(poll_interval=0.2)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
+            super().start()
+        except BaseException:
+            self.shutdown()
+            raise
+        return self
 
-    def stop(self) -> None:
+    def shutdown(self) -> None:
         """Stop the monitor, terminate every worker, close the listener."""
         self._stopping.set()
         with self._lifecycle_lock:
@@ -565,101 +598,5 @@ class SessionRouter:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=5.0)
-        with self._lifecycle_lock:
-            thread, self._thread = self._thread, None
-        if thread is not None:
-            self._httpd.shutdown()
-            thread.join(timeout=5.0)
-        self._httpd.server_close()
+        super().shutdown()
         self._pool.close()
-
-    def __enter__(self) -> "SessionRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Thin HTTP shim: extract the session id, delegate to the router."""
-
-    protocol_version = "HTTP/1.1"
-    server: "_RouterHTTPServer"
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # the router's metrics replace per-request stderr noise
-
-    def _session_id(self, body: bytes | None) -> str | None:
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(self.path).query)
-        if "session_id" in query:
-            return query["session_id"][0]
-        if body:
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                return None
-            sid = payload.get("session_id") if isinstance(payload, dict) else None
-            return str(sid) if sid is not None else None
-        return None
-
-    def _respond(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _handle(self, method: str) -> None:
-        router = self.server.router
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else None
-        path_only = self.path.split("?", 1)[0]
-        if method == "GET" and path_only == "/healthz":
-            self._respond(*router.health())
-            return
-        if method == "GET" and path_only == "/metrics":
-            rendered = router.metrics.render().encode("utf-8")
-            self._respond(200, rendered, "text/plain; version=0.0.4")
-            return
-        try:
-            if method == "POST" and path_only == "/refresh":
-                # Cluster-wide: every worker owns its own KB replica.
-                status, payload, content_type = router.broadcast(
-                    method, self.path, body
-                )
-            else:
-                status, payload, content_type = router.forward(
-                    method, self.path, body, self._session_id(body)
-                )
-        except Exception as error:
-            payload = json.dumps(
-                {"error": "router_error", "message": str(error)}
-            ).encode("utf-8")
-            status, content_type = 500, "application/json"
-        self._respond(status, payload, content_type)
-
-    def _dispatch(self, method: str) -> None:
-        try:
-            self._handle(method)
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-
-class _RouterHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 128
-
-    def __init__(
-        self, address: tuple[str, int], router: SessionRouter
-    ) -> None:
-        super().__init__(address, _RouterHandler)
-        self.router = router

@@ -1,20 +1,19 @@
-"""Asyncio streaming front end over the synchronous turn core.
+"""The conversation app on the asyncio front end, with streaming.
 
-The third serving architecture layer (threads → durable workers →
-async/streaming): a stdlib-only ``asyncio.start_server`` HTTP/1.1
-front end that multiplexes thousands of keep-alive connections on one
-event loop while the existing synchronous :class:`ConversationApp`
-turn core keeps running on its bounded thread pool.  A turn request
-never parks a front-end thread: the loop submits the turn through
+The only HTTP front end of :class:`ConversationApp`, for a single
+server and for every router-managed worker alike.  The shared
+:class:`~repro.serving.frontend.AsyncHTTPServer` multiplexes thousands
+of keep-alive connections on one event loop while the synchronous turn
+core keeps running on its bounded thread pool.  A turn request never
+parks a front-end thread: the loop submits the turn through
 :meth:`ConversationApp.submit_turn` and awaits the wrapped future, so
 concurrency is bounded by sessions and sockets, not threads.
 
 Endpoints
 ---------
-Everything the synchronous server exposes (``POST /chat``,
-``POST /feedback``, ``GET /healthz`` / ``/metrics`` / ``/sessions`` /
-``/session``) behaves identically — ``/chat`` responses are
-byte-identical — plus:
+Every route :meth:`ConversationApp.handle` serves (``POST /chat``,
+``POST /feedback``, ``POST /refresh``, ``GET /healthz`` / ``/metrics``
+/ ``/sessions`` / ``/session``), plus:
 
 ``POST /chat/stream``
     Same payload as ``/chat``; the response is an SSE-style
@@ -44,7 +43,7 @@ Three honest gates, all surfaced in ``/metrics`` as
   ``rate_burst`` burst) — over-rate chat turns are shed with 429
   ``rate_limited``;
 * the turn core's own slot gate (``max_pending``) — 503 ``overloaded``
-  — and drain gate — 503 ``draining`` — exactly as in the sync server.
+  — and drain gate — 503 ``draining``.
 
 Concurrency model: everything in this module runs on the event-loop
 thread except the blocking app calls, which run on a small I/O executor
@@ -59,34 +58,17 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 from urllib.parse import urlsplit
 
 from repro.engine.agent import ConversationAgent
-from repro.serving.server import (
-    KNOWN_ROUTES,
-    MAX_BODY_BYTES,
-    ConversationApp,
-    ServingError,
-)
+from repro.serving.frontend import AsyncHTTPServer, Request, ServingError
+from repro.serving.server import KNOWN_ROUTES, ConversationApp
 
 __all__ = ["AsyncConversationServer", "TokenBucket"]
 
 logger = logging.getLogger("repro.serving.aio")
-
-#: Minimal reason phrases for the statuses this server emits.
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict",
-    413: "Payload Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error", 501: "Not Implemented",
-    503: "Service Unavailable", 504: "Gateway Timeout",
-}
-
-#: Header-block size cap (request line + headers, not the body).
-MAX_HEAD_BYTES = 16 * 1024
 
 
 class TokenBucket:
@@ -144,54 +126,13 @@ class TokenBucket:
             del self._buckets[key]
 
 
-class _Request:
-    """One parsed HTTP request (head only; the body is read separately)."""
+class AsyncConversationServer(AsyncHTTPServer):
+    """The conversation app served on the shared asyncio front end.
 
-    __slots__ = ("method", "path", "headers")
-
-    def __init__(self, method: str, path: str, headers: dict[str, str]):
-        self.method = method
-        self.path = path
-        self.headers = headers
-
-    @property
-    def content_length(self) -> int:
-        try:
-            return int(self.headers.get("content-length", "0") or "0")
-        except ValueError as exc:
-            raise ServingError(
-                400, "bad_request", "invalid Content-Length"
-            ) from exc
-
-    @property
-    def wants_close(self) -> bool:
-        return self.headers.get("connection", "").lower() == "close"
-
-
-def _parse_head(head: bytes) -> _Request:
-    try:
-        text = head.decode("latin-1")
-        request_line, _, header_block = text.partition("\r\n")
-        method, path, _version = request_line.split(" ", 2)
-    except ValueError as exc:
-        raise ServingError(400, "bad_request", "malformed request") from exc
-    headers: dict[str, str] = {}
-    for line in header_block.split("\r\n"):
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return _Request(method.upper(), path, headers)
-
-
-class AsyncConversationServer:
-    """Owns the event loop, the listener, the app, and the lifecycle.
-
-    API-compatible with :class:`~repro.serving.server.ConversationServer`
-    (``start``/``shutdown``/``serve_forever``/``port``/``address``,
-    usable as a context manager); the loop runs on a dedicated thread so
-    synchronous callers (tests, the CLI) drive it the same way they
-    drive the threaded server.
+    Used for a single server and for every router-managed worker;
+    ``start``/``shutdown``/``serve_forever``/``port``/``address`` and the
+    context-manager protocol come from
+    :class:`~repro.serving.frontend.AsyncHTTPServer`.
     """
 
     def __init__(
@@ -207,169 +148,26 @@ class AsyncConversationServer:
         clock: Callable[[], float] = time.monotonic,
         **app_options: Any,
     ) -> None:
-        self.app = ConversationApp(agent, **app_options)
+        super().__init__(host, port, io_threads=io_threads, name="repro-aio")
+        try:
+            self.app = ConversationApp(agent, **app_options)
+        except BaseException:
+            super().shutdown()  # release the bound listener
+            raise
         self.accept_queue = accept_queue
         self.bucket: TokenBucket | None = (
             TokenBucket(rate_limit, rate_burst, clock=clock)
             if rate_limit > 0
             else None
         )
-        self._requested = (host, port)
-        self._bound: tuple[str, int] | None = None
-        self._io = ThreadPoolExecutor(
-            max_workers=io_threads, thread_name_prefix="repro-aio-io"
-        )
         self._active = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return (self._bound or self._requested)[0]
-
-    @property
-    def port(self) -> int:
-        return (self._bound or self._requested)[1]
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "AsyncConversationServer":
-        """Run the loop on a background thread; returns once listening."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-aio-serving", daemon=True
-        )
-        self._thread.start()
-        self._started.wait(timeout=10.0)
-        if self._startup_error is not None:
-            error, self._startup_error = self._startup_error, None
-            raise error
-        if self._bound is None:
-            raise RuntimeError("async server failed to start listening")
-        return self
-
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except Exception as exc:  # surfaced to start()'s caller
-            self._startup_error = exc
-        finally:
-            self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._serve_connection,
-            self._requested[0],
-            self._requested[1],
-            limit=MAX_HEAD_BYTES,
-        )
-        self._bound = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        try:
-            await self._stop.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            leftovers = [t for t in self._conn_tasks if not t.done()]
-            for task in leftovers:
-                task.cancel()
-            if leftovers:
-                await asyncio.gather(*leftovers, return_exceptions=True)
 
     def shutdown(self, drain_timeout: float = 10.0) -> bool:
         """Graceful stop: drain turns, flush, stop the loop; True when
         every in-flight turn finished inside ``drain_timeout``."""
         drained = self.app.close(drain_timeout)
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._io.shutdown(wait=False)
+        super().shutdown()
         return drained
-
-    def serve_forever(self) -> None:
-        """Serve until interrupted (the foreground CLI path)."""
-        if self._thread is None:
-            self.start()
-        try:
-            while self._thread is not None and self._thread.is_alive():
-                self._thread.join(timeout=0.2)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.shutdown()
-
-    def __enter__(self) -> "AsyncConversationServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()
-
-    # -- connection handling -------------------------------------------------
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            await self._connection_loop(reader, writer)
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
-            pass  # client went away or sent an oversized/garbled head
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _connection_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                head = await reader.readuntil(b"\r\n\r\n")
-            except asyncio.IncompleteReadError:
-                return  # clean keep-alive close between requests
-            try:
-                request = _parse_head(head)
-                length = request.content_length
-                if length > MAX_BODY_BYTES:
-                    raise ServingError(
-                        413, "too_large", "request body too large"
-                    )
-                body = await reader.readexactly(length) if length else b""
-            except ServingError as exc:
-                await self._send_json(
-                    writer, exc.status,
-                    {"error": exc.code, "message": exc.message},
-                    keep_alive=False,
-                )
-                return
-            keep_alive = await self._process_request(request, body, writer)
-            if not keep_alive or request.wants_close:
-                return
 
     # -- request processing --------------------------------------------------
 
@@ -390,7 +188,7 @@ class AsyncConversationServer:
         ).inc()
 
     async def _process_request(
-        self, request: _Request, body: bytes, writer: asyncio.StreamWriter
+        self, request: Request, body: bytes, writer: asyncio.StreamWriter
     ) -> bool:
         """Route one request; returns False when the connection must close."""
         route = f"{request.method} {urlsplit(request.path).path}"
@@ -410,15 +208,14 @@ class AsyncConversationServer:
         self._active += 1
         try:
             if not chat_route:
-                # Non-chat routes reuse the sync app's router verbatim
+                # Non-chat routes go through the app's synchronous router
                 # (it counts http_requests_total itself); the blocking
                 # work runs on the I/O executor, never the loop.
                 loop = asyncio.get_running_loop()
                 payload, error = self._decode_payload(request, body)
                 if error is not None:
-                    # Mirrors the sync handler: a body that fails to
-                    # parse is answered before routing (and so before
-                    # the route counter).
+                    # A body that fails to parse is answered before
+                    # routing (and so before the route counter).
                     await self._send_json(
                         writer, error.status, self._error_payload(error)
                     )
@@ -445,7 +242,7 @@ class AsyncConversationServer:
             self._active -= 1
 
     def _decode_payload(
-        self, request: _Request, body: bytes
+        self, request: Request, body: bytes
     ) -> tuple[dict, ServingError | None]:
         if request.method != "POST" or not body:
             return {}, None
@@ -606,30 +403,6 @@ class AsyncConversationServer:
         await self._end_stream(writer)
 
     # -- wire format ----------------------------------------------------------
-
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: dict | str,
-        keep_alive: bool = True,
-    ) -> None:
-        if isinstance(body, str):
-            data = body.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            data = json.dumps(body).encode("utf-8")
-            content_type = "application/json"
-        reason = _REASONS.get(status, "OK")
-        connection = "keep-alive" if keep_alive else "close"
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"Connection: {connection}\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + data)
-        await writer.drain()
 
     async def _start_stream(self, writer: asyncio.StreamWriter) -> None:
         writer.write(

@@ -1,12 +1,16 @@
-"""JSON-over-HTTP conversation server multiplexing many user sessions.
+"""The transport-independent conversation app behind every HTTP front end.
 
 The paper deploys Conversational MDX as a cloud service answering real
-clinician traffic (§6–§7); this module is that serving layer for the
-reproduction.  One shared, immutable :class:`ConversationAgent` answers
-every request; all mutable per-conversation state lives in the
+clinician traffic (§6–§7); :class:`ConversationApp` is that serving
+layer's request handling for the reproduction.  One shared, immutable
+:class:`ConversationAgent` answers every request; all mutable
+per-conversation state lives in the
 :class:`~repro.serving.session_store.SessionStore`, and repeated lookup
 queries are short-circuited by the
-:class:`~repro.serving.query_cache.QueryCache`.
+:class:`~repro.serving.query_cache.QueryCache`.  HTTP itself is served
+by :class:`~repro.serving.aio.AsyncConversationServer` on the shared
+asyncio front end (:mod:`repro.serving.frontend`), which adds
+``POST /chat/stream``.
 
 Endpoints
 ---------
@@ -23,6 +27,8 @@ Endpoints
 ``POST /feedback``
     ``{"session_id": ..., "feedback": "up"|"down"}`` → thumbs feedback
     on that session's most recent interaction (Equation 1 input).
+``POST /refresh``
+    Build, validate and atomically swap in the next KB snapshot.
 ``GET /healthz``
     Liveness plus session/in-flight gauges.
 ``GET /metrics``
@@ -35,12 +41,12 @@ Endpoints
     committed transcript (read-only — inspecting a journaled session
     does not page it back into memory).
 
-Concurrency model: ``ThreadingHTTPServer`` accepts requests, but agent
-turns execute on a bounded ``ThreadPoolExecutor`` — the worker pool is
-the admission control.  Each request carries a timeout (504 on expiry)
-and the server sheds load with 503 once ``max_pending`` turns are in
-flight.  ``shutdown()`` drains: new chat turns are refused, in-flight
-turns finish, then the interaction log is flushed atomically.
+Concurrency model: agent turns execute on a bounded
+``ThreadPoolExecutor`` and the slot gate (``max_pending``) is the
+admission control.  Each turn carries a timeout (504 on expiry) and the
+app sheds load with 503 once ``max_pending`` turns are in flight.
+``close()`` drains: new chat turns are refused, in-flight turns
+finish, then the interaction log is flushed atomically.
 
 Durability: constructed with a ``data_dir`` the app replaces its
 in-memory session store with a
@@ -53,12 +59,10 @@ in from disk, and boot runs crash recovery.  See
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
@@ -67,12 +71,10 @@ from repro.engine.agent import ConversationAgent
 from repro.engine.kinds import ResponseKind
 from repro.engine.logging import save_log
 from repro.errors import EngineError
+from repro.serving.frontend import ServingError
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.query_cache import CachingDatabase, QueryCache
 from repro.serving.session_store import SessionEntry, SessionStore
-
-#: Maximum accepted request body, in bytes (an utterance, not an upload).
-MAX_BODY_BYTES = 64 * 1024
 
 #: Routes the app serves; anything else is labelled ``<unmatched>`` in
 #: ``http_requests_total`` so a scanner walking random 404 URLs cannot
@@ -136,16 +138,6 @@ class _TimingClassifier:
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._classifier, name)
-
-
-class ServingError(Exception):
-    """An error with an HTTP status and a machine-readable code."""
-
-    def __init__(self, status: int, code: str, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.message = message
 
 
 class ConversationApp:
@@ -430,13 +422,6 @@ class ConversationApp:
         try:
             if route == "POST /chat":
                 return 200, self.chat(payload)
-            if route == "POST /chat/stream":
-                raise ServingError(
-                    501,
-                    "stream_unsupported",
-                    "streaming requires the async front end "
-                    "(repro serve --async)",
-                )
             if route == "POST /feedback":
                 return 200, self.feedback(payload)
             if route == "POST /refresh":
@@ -570,56 +555,16 @@ class ConversationApp:
 
         return sink
 
-    def _run_turn(
-        self,
-        sid: str,
-        entry: SessionEntry,
-        utterance: str,
-        debug: bool,
-        client_turn_id: str | None,
-        chunk_sink: Callable[[str, dict], None] | None = None,
-    ) -> dict:
+    def chat(self, payload: dict) -> dict:
         """Run one turn synchronously, enforcing the request timeout."""
-        future = self.submit_turn(
-            sid, entry, utterance, debug, client_turn_id, chunk_sink
+        utterance, sid, entry, debug, client_turn_id = self._admit_chat(
+            payload
         )
+        future = self.submit_turn(sid, entry, utterance, debug, client_turn_id)
         try:
             return future.result(timeout=self.request_timeout)
         except TimeoutError:
             raise self.timeout_turn(future) from None
-
-    def chat(self, payload: dict) -> dict:
-        utterance, sid, entry, debug, client_turn_id = self._admit_chat(
-            payload
-        )
-        return self._run_turn(sid, entry, utterance, debug, client_turn_id)
-
-    def chat_stream(
-        self, payload: dict, emit: Callable[[str, dict], None]
-    ) -> dict:
-        """Run one turn, streaming incremental events through ``emit``.
-
-        Events arrive in order while the turn executes: ``rows`` batches
-        from the answer stage (emitted as soon as the KB query returns,
-        before the answer text is rendered or the turn committed), then
-        one ``elicitation``/``disambiguation`` event for clarification
-        turns.  The returned dict is the committed turn — byte-identical
-        to what ``POST /chat`` returns — which the transport sends as
-        the terminating ``done`` event.  Admission, timeout and
-        abandonment semantics are exactly :meth:`chat`'s.
-
-        ``emit`` runs on the executor thread driving the turn, so
-        transports must hand chunks off thread-safely.  It is shielded:
-        if it raises (client went away mid-stream), the error is logged,
-        further chunks are dropped, and the turn still commits.
-        """
-        utterance, sid, entry, debug, client_turn_id = self._admit_chat(
-            payload
-        )
-        return self._run_turn(
-            sid, entry, utterance, debug, client_turn_id,
-            chunk_sink=self.stream_sink(emit),
-        )
 
     def _turn(
         self,
@@ -737,8 +682,9 @@ class ConversationApp:
     def refresh_kb(self, payload: dict | None = None) -> dict:
         """Build, validate and atomically swap in the next KB snapshot.
 
-        Runs on the calling request thread (each request has its own, so
-        serving continues on the old snapshot throughout the build).
+        Runs on the calling thread (a front-end I/O executor thread, not
+        the event loop, so serving continues on the old snapshot
+        throughout the build).
         The new backend is validated with the ``repro check`` space
         checker before the swap; a snapshot that fails validation is
         discarded and the live KB is untouched.  The swap itself is one
@@ -872,147 +818,3 @@ class ConversationApp:
         raise ServingError(
             404, "unknown_session", f"session {sid} does not exist"
         )
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP adapter over :class:`ConversationApp`."""
-
-    server: "_HTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    def _read_payload(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise ServingError(413, "too_large", "request body too large")
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServingError(400, "bad_json", "body must be JSON") from exc
-        if not isinstance(payload, dict):
-            raise ServingError(400, "bad_json", "body must be a JSON object")
-        return payload
-
-    def _respond(self, status: int, body: dict | str) -> None:
-        if isinstance(body, str):
-            data = body.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            data = json.dumps(body).encode("utf-8")
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _dispatch(self, method: str) -> None:
-        try:
-            try:
-                payload = self._read_payload() if method == "POST" else {}
-            except ServingError as exc:
-                self._respond(exc.status, {"error": exc.code, "message": exc.message})
-                return
-            status, body = self.server.app.handle(method, self.path, payload)
-            self._respond(status, body)
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # request logging lives in /metrics, not stderr
-
-
-class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    #: Deep accept backlog: bursts of concurrent connects (the bench
-    #: opens 50+ sockets at once) must queue, not get RST with the
-    #: socketserver default of 5.
-    request_queue_size = 128
-
-    def __init__(self, address: tuple[str, int], app: ConversationApp) -> None:
-        super().__init__(address, _Handler)
-        self.app = app
-
-
-class ConversationServer:
-    """Owns the HTTP listener, the app, and the serving lifecycle.
-
-    Usable as a context manager::
-
-        with ConversationServer(agent, port=0) as server:
-            ...  # server.port is the bound port
-    """
-
-    def __init__(
-        self,
-        agent: ConversationAgent,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        **app_options: Any,
-    ) -> None:
-        self.app = ConversationApp(agent, **app_options)
-        self._httpd = _HTTPServer((host, port), self.app)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ConversationServer":
-        """Serve in a background thread; returns self once listening."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-serving",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted, then drain."""
-        try:
-            self._httpd.serve_forever(poll_interval=0.2)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.shutdown()
-
-    def shutdown(self, drain_timeout: float = 10.0) -> bool:
-        """Graceful stop: drain in-flight turns, flush the log, close.
-
-        Returns True when every in-flight turn finished inside
-        ``drain_timeout``.
-        """
-        drained = self.app.close(drain_timeout)
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._httpd.server_close()
-        return drained
-
-    def __enter__(self) -> "ConversationServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()

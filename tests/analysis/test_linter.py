@@ -5,6 +5,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.linter import LintConfig, lint_paths, lint_source
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -211,6 +213,20 @@ class TestL004BlockingIO:
                         json.dump(payload, fh)
         """, path="src/repro/serving/server.py")
         assert codes == ["L004", "L004"]
+
+    @pytest.mark.parametrize(
+        "path", ["src/repro/serving/aio.py", "src/repro/persistence/router.py"]
+    )
+    def test_async_request_entry_point_flagged(self, path):
+        # Requests enter both the app's and the router's request paths
+        # through the asyncio front end's _process_request.
+        codes = _codes("""
+            class Front:
+                async def _process_request(self, request, body, writer):
+                    with open("log.json", "a") as fh:
+                        fh.write("x")
+        """, path=path)
+        assert codes == ["L004"]
 
     def test_same_method_outside_serving_is_fine(self):
         codes = _codes("""

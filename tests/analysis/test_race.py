@@ -9,8 +9,9 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.diagnostics import Severity
-from repro.analysis.model import build_model_from_sources
+from repro.analysis.model import build_model, build_model_from_sources
 from repro.analysis.race import (
+    RaceAnalysis,
     RaceConfig,
     analyze_model,
     check_race_paths,
@@ -235,6 +236,32 @@ class TestR003BlockingUnderLock:
         assert "os.fsync" in message
         assert "App._lock" in message
         assert "request-handler path App.chat also acquires" in message
+
+    def test_executor_target_is_reachable_from_async_entry(self):
+        # The async front end hands blocking work to a pool with
+        # run_in_executor; the target runs on the request path.
+        diags = _diags("""
+            import os
+            import threading
+
+            class Front:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._io = None
+
+                async def _process_request(self, loop, fd):
+                    await loop.run_in_executor(self._io, self._work, fd)
+
+                def _work(self, fd):
+                    with self._lock:
+                        os.fsync(fd)
+        """, path="src/repro/serving/front.py")
+        assert [d.code for d in diags] == ["R003"]
+        assert diags[0].severity is Severity.ERROR
+        assert (
+            "request-handler path Front._process_request also acquires"
+            in diags[0].message
+        )
 
     def test_non_handler_lock_is_a_warning(self):
         # Same shape outside the request path: still worth knowing, not
@@ -534,6 +561,26 @@ class TestShippedTree:
         assert "0 error(s), 0 warning(s)" in out
         assert "suppressed by baseline" in out
         assert "matched nothing" not in out
+
+    def test_request_entry_points_reach_worker_and_session_locks(self):
+        # The router's and the app's request paths both enter through
+        # _process_request on the asyncio front end and take these locks
+        # on executor threads; R003 must keep treating them as
+        # handler-reachable.
+        project = build_model([REPO_ROOT / "src" / "repro"])
+        analysis = RaceAnalysis(project, RaceConfig())
+        entries = {
+            function.qualname: function
+            for function in analysis.functions
+            if function.name == "_process_request"
+        }
+        router = entries["SessionRouter._process_request"]
+        app = entries["AsyncConversationServer._process_request"]
+        assert "WorkerHandle.lock" in router.trans_acquires
+        assert "SessionEntry.lock" in app.trans_acquires
+        assert {"WorkerHandle.lock", "SessionEntry.lock"} <= set(
+            analysis.handler_locks
+        )
 
     def test_lint_deep_folds_in_race(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)

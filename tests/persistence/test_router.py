@@ -9,7 +9,9 @@ resume.
 
 from __future__ import annotations
 
+import json
 import signal
+import socket
 import time
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 
 import repro
 from repro.persistence.router import SessionRouter, affinity, worker_dir
+from repro.serving.frontend import MAX_BODY_BYTES, MAX_HEAD_BYTES
 from tests.persistence.conftest import GOLDEN_SCRIPT, run_script
 from tests.serving.conftest import build_toy_agent, http_json, http_text
 
@@ -188,3 +191,71 @@ class TestAffinityFunction:
     def test_non_numeric_ids_hash_stably(self):
         assert affinity("abc", 4) == affinity("abc", 4)
         assert 0 <= affinity("abc", 4) < 4
+
+
+@pytest.fixture
+def bare_router(tmp_path, monkeypatch):
+    """A serving router with no workers behind it: the input checks run
+    before any forwarding, and a request that passes them gets the
+    fast 503 of an unreachable worker."""
+    monkeypatch.setattr(SessionRouter, "spawn_worker", lambda self, h: None)
+    with SessionRouter(1, tmp_path, port=0, health_interval=60.0) as router:
+        yield router
+
+
+def _raw_exchange(router, head: str) -> bytes:
+    """Send a raw request head; return everything the router answers
+    before it closes the connection."""
+    with socket.create_connection((router.host, router.port), 10.0) as sock:
+        sock.sendall(head.encode("latin-1"))
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status_and_body(reply: bytes) -> tuple[int, dict]:
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+class TestRouterInputLimits:
+    def test_valid_request_is_forwarded(self, bare_router):
+        status, body = _status_and_body(_raw_exchange(
+            bare_router,
+            "POST /chat HTTP/1.1\r\nContent-Length: 2\r\n"
+            "Connection: close\r\n\r\n{}",
+        ))
+        assert status == 503
+        assert body["error"] == "worker_unavailable"
+
+    def test_oversized_body_is_413_without_reading_it(self, bare_router):
+        status, body = _status_and_body(_raw_exchange(
+            bare_router,
+            "POST /chat HTTP/1.1\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n",
+        ))
+        assert status == 413
+        assert body["error"] == "too_large"
+
+    @pytest.mark.parametrize("length", ["-5", "12abc"])
+    def test_bad_content_length_is_400(self, bare_router, length):
+        status, body = _status_and_body(_raw_exchange(
+            bare_router,
+            f"POST /chat HTTP/1.1\r\nContent-Length: {length}\r\n\r\n",
+        ))
+        assert status == 400
+        assert body["error"] == "bad_request"
+
+    def test_head_over_cap_is_dropped_unanswered(self, bare_router):
+        filler = "x" * MAX_HEAD_BYTES
+        reply = _raw_exchange(
+            bare_router, f"GET /healthz HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n"
+        )
+        assert reply == b""

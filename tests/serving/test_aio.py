@@ -1,7 +1,7 @@
 """AsyncConversationServer: streaming, parity, admission, saturation.
 
-Exercises the asyncio front end over a real socket: ``/chat`` parity
-with the threaded server (byte-identical bodies), SSE event ordering
+Exercises the asyncio front end over a real socket: ``/chat`` bodies
+byte-identical to a golden fixture, SSE event ordering
 on ``/chat/stream`` (``rows`` before the terminating ``done``),
 clarification events, mid-stream disconnect cleanup, the three
 admission gates (accept queue, per-session token bucket, turn slots),
@@ -16,12 +16,17 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.serving import AsyncConversationServer, ConversationServer, TokenBucket
+from repro.serving import AsyncConversationServer, TokenBucket
 from tests.conftest import TOY_DRUGS
 from tests.serving.conftest import FakeClock, build_toy_agent, http_json, http_text
+
+
+#: ``/chat`` response bodies of ``TestChatParity.SCRIPT``, one per line.
+GOLDEN_CHAT_BODIES = Path(__file__).parent / "golden" / "chat_bodies.jsonl"
 
 
 def dosage_of(drug: str) -> str:
@@ -200,6 +205,20 @@ class TestHTTPContract:
         finally:
             client.close()
 
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_invalid_content_length_is_400(self, aserved, length):
+        client = RawClient(aserved.host, aserved.port)
+        try:
+            client.sock.sendall(
+                f"POST /chat HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+            )
+            status, _headers, body = client.read_response()
+            assert status == 400
+            assert json.loads(body)["error"] == "bad_request"
+        finally:
+            client.close()
+
     def test_keep_alive_serves_multiple_requests_per_connection(self, aserved):
         client = RawClient(aserved.host, aserved.port)
         try:
@@ -241,16 +260,16 @@ class TestChatParity:
             sid = json.loads(body)["session_id"]
         return bodies
 
-    def test_chat_bodies_byte_identical_to_sync_server(self):
-        with ConversationServer(
-            build_toy_agent(), port=0, max_workers=4
-        ) as sync_server:
-            sync_bodies = self._transcript(sync_server)
+    def test_chat_bodies_byte_identical_to_golden_fixture(self):
+        """The fixture holds the ``/chat`` bodies of ``SCRIPT`` as the
+        ``ThreadingHTTPServer`` front end returned them before it was
+        retired; the one front end left must reproduce them byte for
+        byte."""
         with AsyncConversationServer(
             build_toy_agent(), port=0, max_workers=4
-        ) as async_server:
-            async_bodies = self._transcript(async_server)
-        assert async_bodies == sync_bodies
+        ) as server:
+            bodies = self._transcript(server)
+        assert bodies == GOLDEN_CHAT_BODIES.read_bytes().splitlines()
 
 
 class TestStreaming:

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.kb.backend import EPOCH_STRIDE, wrap_database
-from repro.serving import ConversationApp, ConversationServer
+from repro.serving import AsyncConversationServer, ConversationApp
 from tests.conftest import make_toy_database
 from tests.serving.conftest import build_toy_agent, http_json, http_text
 
@@ -129,7 +129,7 @@ class TestRefreshUnderLoad:
     def test_no_failed_and_no_stale_requests(self):
         """The ISSUE drill: swap repeatedly while traffic is in flight."""
         agent = build_toy_agent()
-        server = ConversationServer(
+        server = AsyncConversationServer(
             agent, port=0, max_workers=16, max_pending=256,
             request_timeout=30.0, kb_builder=memory_builder,
         )

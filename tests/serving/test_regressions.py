@@ -1,4 +1,4 @@
-"""Regression tests for the thread-pool server's concurrency bugs.
+"""Regression tests for the conversation app's concurrency bugs.
 
 Each test here pins one of the fixed defects in place:
 
@@ -189,17 +189,6 @@ class TestMetricLabelCardinality:
                 'http_requests_total{route="GET /healthz"} 1'
                 in app.metrics.render()
             )
-        finally:
-            app.close(drain_timeout=10.0)
-
-    def test_sync_server_declines_stream_route_with_501(self):
-        app = ConversationApp(build_toy_agent(), max_workers=2)
-        try:
-            status, body = app.handle(
-                "POST", "/chat/stream", {"utterance": "hi"}
-            )
-            assert status == 501
-            assert body["error"] == "stream_unsupported"
         finally:
             app.close(drain_timeout=10.0)
 

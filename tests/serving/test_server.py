@@ -1,4 +1,4 @@
-"""ConversationServer: HTTP contract, concurrency isolation, shutdown."""
+"""The served app over HTTP: contract, concurrency isolation, shutdown."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import build_parser, cmd_serve
 from repro.engine import load_log
-from repro.serving import ConversationServer
+from repro.serving import AsyncConversationServer
 from tests.conftest import TOY_DRUGS
 from tests.serving.conftest import build_toy_agent, http_json, http_text
 
@@ -18,7 +18,7 @@ from tests.serving.conftest import build_toy_agent, http_json, http_text
 def served():
     """A running server over a fresh toy agent, shared by contract tests."""
     agent = build_toy_agent()
-    server = ConversationServer(
+    server = AsyncConversationServer(
         agent, port=0, max_workers=64, max_pending=256, request_timeout=30.0
     )
     with server:
@@ -268,7 +268,7 @@ class TestBackpressureAndTimeout:
             return original(utterance, context, chunk_sink)
 
         agent.respond = slow_respond
-        server = ConversationServer(
+        server = AsyncConversationServer(
             agent, port=0, max_workers=2, max_pending=1, request_timeout=0.2
         )
         with server:
@@ -306,7 +306,7 @@ class TestGracefulShutdown:
 
         agent.respond = slow_respond
         log_path = tmp_path / "interactions.jsonl"
-        server = ConversationServer(agent, port=0, log_path=log_path).start()
+        server = AsyncConversationServer(agent, port=0, log_path=log_path).start()
         outcome = {}
 
         def go():
@@ -341,7 +341,7 @@ class TestGracefulShutdown:
 
     def test_session_ttl_evicts_between_requests(self):
         agent = build_toy_agent()
-        with ConversationServer(agent, port=0, session_ttl=0.2) as server:
+        with AsyncConversationServer(agent, port=0, session_ttl=0.2) as server:
             _, body = http_json(server.address + "/chat",
                                 {"utterance": "dosage for Aspirin"})
             time.sleep(0.35)
@@ -377,3 +377,26 @@ class TestServeCommand:
         lines: list[str] = []
         assert cmd_serve(args, output_fn=lines.append, run_forever=False) == 0
         assert any("Serving on http://127.0.0.1:" in line for line in lines)
+
+    def test_async_flag_is_accepted_and_ignored(self, monkeypatch):
+        # The asyncio front end is the only one; --async stays valid on
+        # existing command lines and selects nothing.
+        monkeypatch.setattr(
+            "repro.cli._build_agent", lambda args: build_toy_agent()
+        )
+        servers = []
+        original = AsyncConversationServer.start
+
+        def start(server):
+            servers.append(server)
+            return original(server)
+
+        monkeypatch.setattr(AsyncConversationServer, "start", start)
+        for argv in (["serve", "--port", "0"],
+                     ["serve", "--port", "0", "--async"]):
+            args = build_parser().parse_args(argv)
+            assert cmd_serve(args, output_fn=lambda line: None,
+                             run_forever=False) == 0
+        assert [type(server) for server in servers] == [
+            AsyncConversationServer, AsyncConversationServer
+        ]
