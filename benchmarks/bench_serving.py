@@ -19,7 +19,10 @@ under fire*:
   SIGKILLs one worker mid-load.  Clients retry through the outage with
   idempotent ``client_turn_id``s; afterwards every session's durable
   transcript is compared against every turn a client saw acknowledged.
-  The acceptance criterion is **zero lost committed turns**.
+  The acceptance criterion is **zero lost committed turns**.  The
+  drill also reports the router's start-up time (every worker launched
+  and healthy) and the victim's outage, from the SIGKILL until the
+  restarted worker answers ``/healthz``.
 
 * **Overload gate** (the ROADMAP saturation gate) — a baseline wave at
   capacity, then a deliberate 2x-overload wave against a server with a
@@ -711,6 +714,23 @@ def run_async_drill(
 # -- recovery drill -----------------------------------------------------------
 
 
+def _victim_outage_s(
+    router: SessionRouter, victim: int, killed_pid: int, killed_at: float,
+    timeout: float = 300.0,
+) -> float | None:
+    """Seconds from the SIGKILL until the restarted worker answers
+    ``/healthz`` at the port the router routes to (None on timeout)."""
+    handle = router.workers[victim]
+    while time.perf_counter() - killed_at < timeout:
+        process, url = handle.process, handle.base_url
+        if process is not None and process.pid != killed_pid and url:
+            status, _body = http_json(url + "/healthz", timeout=5.0)
+            if status == 200:
+                return round(time.perf_counter() - killed_at, 3)
+        time.sleep(0.01)
+    return None
+
+
 def run_recovery_drill(
     artifacts: Path,
     data_dir: Path,
@@ -784,7 +804,9 @@ def run_recovery_drill(
 
     wall_start = time.perf_counter()
     killed_pid = None
+    victim_outage_s = None
     with router:
+        router_start_s = round(time.perf_counter() - wall_start, 3)
         pool: list[threading.Thread] = []
         indices = list(range(sessions))
         cursor_lock = threading.Lock()
@@ -806,9 +828,16 @@ def run_recovery_drill(
         kill_event.wait(timeout=300)
         victim = 0
         try:
+            killed_at = time.perf_counter()
             killed_pid = router.kill_worker(victim, signal.SIGKILL)
         except Exception as exc:
             errors.append(f"kill failed: {exc}")
+        else:
+            victim_outage_s = _victim_outage_s(
+                router, victim, killed_pid, killed_at
+            )
+            if victim_outage_s is None:
+                errors.append(f"worker {victim} was not restarted")
         for thread in pool:
             thread.join(timeout=600)
         wall = time.perf_counter() - wall_start
@@ -841,6 +870,8 @@ def run_recovery_drill(
         "killed_worker": 0,
         "killed_pid": killed_pid,
         "worker_restarts": restarts,
+        "router_start_s": router_start_s,
+        "victim_outage_s": victim_outage_s,
         "retries_during_outage": retries_used[0],
         "lost_committed_turns": len(lost),
         "lost_detail": lost[:5],
@@ -957,6 +988,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  turns committed   {drill['turns_committed']:8d}")
             print(f"  worker restarts   {drill['worker_restarts']:8d}  "
                   f"(killed pid {drill['killed_pid']})")
+            print(f"  router start      {drill['router_start_s']:8.2f} s")
+            outage = drill["victim_outage_s"]
+            print("  victim outage     "
+                  + ("   never" if outage is None else f"{outage:8.2f} s")
+                  + "  (SIGKILL until the restart answers /healthz)")
             print(f"  retries in outage {drill['retries_during_outage']:8d}")
             print(f"  lost committed    {drill['lost_committed_turns']:8d}")
             for line in drill["lost_detail"] + drill["errors"]:

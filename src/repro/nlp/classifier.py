@@ -12,10 +12,12 @@ from repro.errors import NLPError, NotFittedError
 from repro.nlp.vectorizer import TfidfVectorizer
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, overwriting and returning ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 class SoftmaxClassifier:
@@ -72,17 +74,31 @@ class SoftmaxClassifier:
         bias = np.zeros(n_classes, dtype=np.float64)
         vel_w = np.zeros_like(weights)
         vel_b = np.zeros_like(bias)
+        scratch = np.empty_like(weights)
         features_t = features.T.tocsr()
 
+        # The textbook update, done in place: besides the two sparse
+        # products an epoch allocates only per-row and per-class vectors.
+        # Elementwise IEEE operations round the same in place as out of
+        # it, so the weights are bit-identical to the textbook form's:
+        #   error = (softmax(X W + b) - Y) / n
+        #   v_W   = momentum v_W - lr (X^T error + l2 W);   W += v_W
+        #   v_b   = momentum v_b - lr sum(error);           b += v_b
         for _ in range(self.epochs):
-            logits = features @ weights + bias
-            probs = _softmax(logits)
-            error = (probs - one_hot) / n_samples
-            grad_w = features_t @ error + self.l2 * weights
-            grad_b = error.sum(axis=0)
-            vel_w = self.momentum * vel_w - self.learning_rate * grad_w
-            vel_b = self.momentum * vel_b - self.learning_rate * grad_b
+            error = features @ weights
+            error += bias
+            _softmax_in_place(error)
+            error -= one_hot
+            error /= n_samples
+            grad_w = features_t @ error
+            np.multiply(weights, self.l2, out=scratch)
+            grad_w += scratch
+            grad_w *= self.learning_rate
+            vel_w *= self.momentum
+            vel_w -= grad_w
             weights += vel_w
+            vel_b *= self.momentum
+            vel_b -= self.learning_rate * error.sum(axis=0)
             bias += vel_b
 
         self.classes_ = classes
@@ -94,7 +110,7 @@ class SoftmaxClassifier:
         """Class probabilities, shape (n_samples, n_classes)."""
         if self.weights_ is None or self.bias_ is None or self.classes_ is None:
             raise NotFittedError("SoftmaxClassifier is not fitted")
-        return _softmax(features @ self.weights_ + self.bias_)
+        return _softmax_in_place(features @ self.weights_ + self.bias_)
 
     def predict(self, features: sparse.csr_matrix) -> list[str]:
         """Most likely class per sample."""

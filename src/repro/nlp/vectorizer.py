@@ -77,11 +77,22 @@ class TfidfVectorizer:
 
     def fit(self, documents: Sequence[str]) -> "TfidfVectorizer":
         """Learn the vocabulary and IDF weights from ``documents``."""
+        self._fit_counts([self._features(doc) for doc in documents])
+        return self
+
+    def fit_transform(self, documents: Sequence[str]) -> sparse.csr_matrix:
+        """Fit on ``documents`` and return their feature matrix.
+
+        Equal to ``fit(documents).transform(documents)``, extracting each
+        document's n-grams once instead of twice.
+        """
+        all_features = [self._features(doc) for doc in documents]
+        self._fit_counts(all_features)
+        return self._vectorize(all_features)
+
+    def _fit_counts(self, all_features: list[Counter]) -> None:
         doc_freq: Counter = Counter()
-        all_features: list[Counter] = []
-        for doc in documents:
-            feats = self._features(doc)
-            all_features.append(feats)
+        for feats in all_features:
             doc_freq.update(feats.keys())
         vocabulary = {
             feature: index
@@ -89,31 +100,28 @@ class TfidfVectorizer:
                 sorted(f for f, df in doc_freq.items() if df >= self.min_df)
             )
         }
-        n_docs = max(len(documents), 1)
+        n_docs = max(len(all_features), 1)
         idf = np.ones(len(vocabulary), dtype=np.float64)
         for feature, index in vocabulary.items():
             # Smoothed IDF, as in standard TF-IDF practice.
             idf[index] = math.log((1 + n_docs) / (1 + doc_freq[feature])) + 1.0
         self.vocabulary_ = vocabulary
         self.idf_ = idf
-        return self
-
-    def fit_transform(self, documents: Sequence[str]) -> sparse.csr_matrix:
-        """Fit on ``documents`` and return their feature matrix."""
-        self.fit(documents)
-        return self.transform(documents)
 
     def transform(self, documents: Iterable[str]) -> sparse.csr_matrix:
         """Vectorize ``documents`` using the fitted vocabulary."""
         if self.vocabulary_ is None or self.idf_ is None:
             raise NotFittedError("TfidfVectorizer.transform called before fit")
+        return self._vectorize(self._features(doc) for doc in documents)
+
+    def _vectorize(self, all_features: Iterable[Counter]) -> sparse.csr_matrix:
+        assert self.vocabulary_ is not None and self.idf_ is not None
         indptr = [0]
         indices: list[int] = []
         data: list[float] = []
         n_seen = 0
-        for doc in documents:
+        for feats in all_features:
             n_seen += 1
-            feats = self._features(doc)
             row: dict[int, float] = {}
             for feature, count in feats.items():
                 idx = self.vocabulary_.get(feature)

@@ -22,12 +22,14 @@ spread round-robin.
 Workers hand their bound port back through a ready file
 (``worker.json``, written after the worker's server is listening); the
 router deletes the file before each spawn so a stale file can never be
-mistaken for the new process.  A monitor thread restarts dead workers;
-a restarted worker replays its journals on boot
-(``recover_on_boot``), so every session it owned resumes exactly where
-its last committed turn left it.  While a worker is down, requests for
-its sessions fail fast with ``503 worker_unavailable`` — clients retry
-(idempotently, via ``client_turn_id``) until the replacement is up.
+mistaken for the new process.  Workers launch together and are awaited
+as a group, so their agent builds overlap; a monitor thread relaunches
+every dead worker in one sweep the same way.  A restarted worker
+replays its journals on boot (``recover_on_boot``), so every session it
+owned resumes exactly where its last committed turn left it.  While a
+worker is down, requests for its sessions fail fast with ``503
+worker_unavailable`` — clients retry (idempotently, via
+``client_turn_id``) until the replacement is up.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import urllib.error
 import urllib.request
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import RouterError
@@ -259,11 +261,15 @@ class SessionRouter(AsyncHTTPServer):
             "--host", "127.0.0.1", "--port", "0",
         ] + self.worker_args
 
-    def spawn_worker(self, handle: WorkerHandle) -> None:
-        """Start (or restart) one worker and wait until it is serving."""
+    def _launch(self, handle: WorkerHandle) -> float:
+        """Start (or restart) one worker process without waiting for it.
+
+        Returns the worker's readiness deadline, counted from its own
+        launch; :meth:`_await_ready` waits for launched workers as a
+        group.
+        """
         handle.directory.mkdir(parents=True, exist_ok=True)
-        ready = handle.directory / READY_FILE
-        ready.unlink(missing_ok=True)
+        (handle.directory / READY_FILE).unlink(missing_ok=True)
         log = open(handle.directory / "worker.log", "ab")
         try:
             # fork/exec happens outside handle.lock: the kill/stop paths
@@ -288,38 +294,63 @@ class SessionRouter(AsyncHTTPServer):
             # Sockets parked for the dead incarnation can never be valid
             # for the replacement (which binds a fresh ephemeral port).
             self._pool.discard("127.0.0.1", old_port)
-        self._await_ready(handle, ready)
+        return time.monotonic() + self.spawn_timeout
 
-    def _await_ready(self, handle: WorkerHandle, ready: Path) -> None:
-        deadline = time.monotonic() + self.spawn_timeout
-        while time.monotonic() < deadline:
-            with handle.lock:
-                process = handle.process
-            if process is not None and process.poll() is not None:
-                raise RouterError(
-                    f"worker {handle.index} exited with code "
-                    f"{process.returncode} during startup (see "
-                    f"{handle.directory / 'worker.log'})"
-                )
-            port = self._read_ready(ready, process.pid if process else None)
-            if port is not None and self._healthy(port):
+    def _await_ready(
+        self, launched: list[tuple[WorkerHandle, float]]
+    ) -> Iterator[tuple[WorkerHandle, RouterError | None]]:
+        """Wait for launched workers together, yielding each as it settles.
+
+        ``launched`` pairs each handle with its deadline from
+        :meth:`_launch`.  Yields ``(handle, None)`` once a worker serves
+        (its port is recorded first) and ``(handle, error)`` once it
+        exits, misses its deadline or the router stops; every handle is
+        yielded exactly once, so a slow worker never delays the news
+        about a fast or failed one.
+        """
+        pending = list(launched)
+        while pending:
+            waiting = []
+            for handle, deadline in pending:
                 with handle.lock:
-                    handle.port = port
-                return
-            time.sleep(0.05)
-        raise RouterError(
-            f"worker {handle.index} did not become ready within "
-            f"{self.spawn_timeout:.0f}s"
-        )
+                    process = handle.process
+                if self._stopping.is_set() or process is None:
+                    yield handle, RouterError(
+                        f"worker {handle.index} was stopped during startup"
+                    )
+                elif process.poll() is not None:
+                    yield handle, RouterError(
+                        f"worker {handle.index} exited with code "
+                        f"{process.returncode} during startup (see "
+                        f"{handle.directory / 'worker.log'})"
+                    )
+                elif (
+                    port := self._read_ready(
+                        handle.directory / READY_FILE, process.pid
+                    )
+                ) is not None and self._healthy(port):
+                    with handle.lock:
+                        handle.port = port
+                    yield handle, None
+                elif time.monotonic() >= deadline:
+                    yield handle, RouterError(
+                        f"worker {handle.index} did not become ready within "
+                        f"{self.spawn_timeout:.0f}s"
+                    )
+                else:
+                    waiting.append((handle, deadline))
+            pending = waiting
+            if pending:
+                time.sleep(0.05)
 
     @staticmethod
-    def _read_ready(ready: Path, expected_pid: int | None) -> int | None:
+    def _read_ready(ready: Path, expected_pid: int) -> int | None:
         try:
             data = json.loads(ready.read_text(encoding="utf-8"))
             port = int(data["port"])
         except (FileNotFoundError, KeyError, TypeError, ValueError):
             return None
-        if expected_pid is not None and data.get("pid") != expected_pid:
+        if data.get("pid") != expected_pid:
             return None  # stale file from a previous incarnation
         return port
 
@@ -345,18 +376,22 @@ class SessionRouter(AsyncHTTPServer):
 
     def _monitor_loop(self) -> None:
         while not self._stopping.wait(self.health_interval):
-            for handle in self.workers:
-                if self._stopping.is_set():
-                    return
-                if handle.alive:
-                    continue
-                with handle.lock:
-                    handle.restarts += 1
-                self.metrics.counter("router_worker_restarts_total").inc()
-                try:
-                    self.spawn_worker(handle)
-                except RouterError:
-                    continue  # retried on the next sweep; counter shows it
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """Relaunch every dead worker at once, then await them together."""
+        launched = []
+        for handle in self.workers:
+            if self._stopping.is_set():
+                break
+            if handle.alive:
+                continue
+            with handle.lock:
+                handle.restarts += 1
+            self.metrics.counter("router_worker_restarts_total").inc()
+            launched.append((handle, self._launch(handle)))
+        for _handle, _error in self._await_ready(launched):
+            pass  # one that died again is relaunched on the next sweep
 
     # -- routing -------------------------------------------------------------
 
@@ -565,8 +600,14 @@ class SessionRouter(AsyncHTTPServer):
             if self._monitor is not None:
                 raise RuntimeError("router already started")
         try:
-            for handle in self.workers:
-                self.spawn_worker(handle)
+            # Launch every worker before waiting on any: each builds its
+            # agent from scratch, and the builds overlap.
+            launched = [
+                (handle, self._launch(handle)) for handle in self.workers
+            ]
+            for _handle, error in self._await_ready(launched):
+                if error is not None:
+                    raise error
             with self._lifecycle_lock:
                 self._monitor = threading.Thread(
                     target=self._monitor_loop,

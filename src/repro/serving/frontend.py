@@ -154,7 +154,7 @@ class AsyncHTTPServer:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         server = await asyncio.start_server(
-            self._serve_connection, sock=self._sock, limit=MAX_HEAD_BYTES
+            self._accept, sock=self._sock, limit=MAX_HEAD_BYTES
         )
         self._started.set()
         try:
@@ -199,12 +199,22 @@ class AsyncHTTPServer:
 
     # -- connection handling -------------------------------------------------
 
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        # The server creates and owns each connection's task.  Shutdown
+        # cancels the connections parked between keep-alive requests,
+        # and on Python 3.11 asyncio logs a traceback for a cancelled
+        # task that it created from a coroutine the callback returned.
+        task = asyncio.get_running_loop().create_task(
+            self._serve_connection(reader, writer)
+        )
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
         try:
             await self._connection_loop(reader, writer)
         except (
@@ -215,8 +225,6 @@ class AsyncHTTPServer:
         ):
             pass  # client went away or sent an oversized/garbled head
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import signal
 import socket
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.errors import RouterError
 from repro.persistence.router import SessionRouter, affinity, worker_dir
 from repro.serving.frontend import MAX_BODY_BYTES, MAX_HEAD_BYTES
 from tests.persistence.conftest import GOLDEN_SCRIPT, run_script
@@ -198,7 +200,10 @@ def bare_router(tmp_path, monkeypatch):
     """A serving router with no workers behind it: the input checks run
     before any forwarding, and a request that passes them gets the
     fast 503 of an unreachable worker."""
-    monkeypatch.setattr(SessionRouter, "spawn_worker", lambda self, h: None)
+    monkeypatch.setattr(SessionRouter, "_launch", lambda self, handle: 0.0)
+    monkeypatch.setattr(
+        SessionRouter, "_await_ready", lambda self, launched: []
+    )
     with SessionRouter(1, tmp_path, port=0, health_interval=60.0) as router:
         yield router
 
@@ -259,3 +264,127 @@ class TestRouterInputLimits:
             bare_router, f"GET /healthz HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n"
         )
         assert reply == b""
+
+
+#: A stand-in worker: it marks itself started in a shared gate directory,
+#: waits until every worker of the deployment has started, then listens,
+#: writes its ready file and answers ``/healthz``.  Launched one at a
+#: time, the first stub can never become ready; launched together, all
+#: do — whatever the machine's speed.  ``exit`` as the mode makes the
+#: stub fail at once instead.
+_GATED_STUB = """
+import http.server, json, os, pathlib, sys, time
+directory, gate = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+index, workers, mode = sys.argv[3], int(sys.argv[4]), sys.argv[5]
+if mode == "exit":
+    sys.exit(3)
+gate.mkdir(parents=True, exist_ok=True)
+(gate / f"started-{index}").touch()
+while len(list(gate.glob("started-*"))) < workers:
+    time.sleep(0.02)
+
+class Health(http.server.BaseHTTPRequestHandler):
+    def do_GET(self):
+        body = b'{"status": "ok"}'
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+server = http.server.HTTPServer(("127.0.0.1", 0), Health)
+ready = {"port": server.server_address[1], "pid": os.getpid()}
+(directory / "worker.json").write_text(json.dumps(ready))
+server.serve_forever()
+"""
+
+
+def _stub_router(tmp_path, monkeypatch, modes=("run", "run")):
+    gate = tmp_path / "gate"
+
+    def command(self, index):
+        return [
+            sys.executable, "-c", _GATED_STUB,
+            str(worker_dir(self.data_dir, index)), str(gate), str(index),
+            str(len(self.workers)), modes[index],
+        ]
+
+    monkeypatch.setattr(SessionRouter, "_command", command)
+    # The monitor never sweeps on its own: tests call ``_sweep``.
+    return SessionRouter(
+        len(modes), tmp_path / "data", port=0,
+        spawn_timeout=60.0, health_interval=3600.0,
+    )
+
+
+class TestParallelLaunch:
+    def test_gated_stub_never_starts_alone(self, tmp_path, monkeypatch):
+        # The control: awaiting one worker before launching its sibling
+        # (the old sequential start) times out.
+        router = _stub_router(tmp_path, monkeypatch)
+        router.spawn_timeout = 1.0
+        try:
+            handle = router.workers[0]
+            [(settled, error)] = list(
+                router._await_ready([(handle, router._launch(handle))])
+            )
+            assert settled is handle
+            assert "did not become ready" in str(error)
+            assert handle.port is None
+        finally:
+            router.shutdown()
+
+    def test_start_launches_every_worker_before_awaiting(
+        self, tmp_path, monkeypatch
+    ):
+        router = _stub_router(tmp_path, monkeypatch)
+        with router:
+            for handle in router.workers:
+                assert handle.alive
+                assert handle.port is not None
+            status, body = http_json(router.address + "/healthz")
+            assert status == 200
+            assert [w["up"] for w in body["workers"]] == [True, True]
+
+    def test_start_fails_fast_and_tears_down(self, tmp_path, monkeypatch):
+        # Worker 0 waits for a sibling that has already exited: start()
+        # reports worker 1's exit at once, not worker 0's timeout, and
+        # stops worker 0.
+        router = _stub_router(tmp_path, monkeypatch, ("run", "exit"))
+        launched = []
+        real_launch = SessionRouter._launch
+
+        def launch(self, handle):
+            deadline = real_launch(self, handle)
+            launched.append(handle.process)
+            return deadline
+
+        monkeypatch.setattr(SessionRouter, "_launch", launch)
+        with pytest.raises(RouterError, match="worker 1 exited with code 3"):
+            router.start()
+        assert len(launched) == 2
+        assert all(process.poll() is not None for process in launched)
+        assert all(handle.process is None for handle in router.workers)
+
+
+class TestMonitorSweep:
+    def test_one_sweep_restarts_every_dead_worker(self, tmp_path,
+                                                  monkeypatch):
+        router = _stub_router(tmp_path, monkeypatch)
+        with router:
+            killed = [handle.process for handle in router.workers]
+            for index in range(2):
+                router.kill_worker(index, signal.SIGKILL)
+            for process in killed:
+                process.wait(timeout=10.0)
+            # Each replacement again waits for its sibling's replacement.
+            for marker in (tmp_path / "gate").iterdir():
+                marker.unlink()
+            router._sweep()
+            for handle, old in zip(router.workers, killed):
+                assert handle.restarts == 1
+                assert handle.alive and handle.process is not old
+                assert handle.port is not None
+                assert router._healthy(handle.port)
