@@ -3,10 +3,11 @@
 Not a paper artifact — the analyzers are build-time tooling — but their
 cost gates how often CI and SMEs can afford to run them, so it belongs
 in the perf trajectory next to the serving numbers.  Times the analysis
-layers over the full MDX conversation space (and the lint plus the
-whole-program race and purity passes over ``src/repro``), then reports
-per-layer wall time and finding counts against the per-layer acceptance
-budgets (1 s per analysis pass, 2 s for the shared program model).
+layers over the full MDX conversation space (and the lint, race and
+purity rules over one shared program model of ``src/repro``), then
+reports per-layer wall time and finding counts against the per-layer
+acceptance budgets (1 s per analysis pass, 2 s for the shared program
+model).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.ambiguity import check_ambiguity
-from repro.analysis.linter import LintConfig, lint_paths
 from repro.analysis.model import build_model
 from repro.analysis.purity import PurityConfig, analyze_purity_model
 from repro.analysis.race import RaceConfig, analyze_model
@@ -32,7 +32,7 @@ REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 AUDIT_BUDGET_SECONDS = 1.0
 
 #: Acceptance budget for the shared whole-program model build.  The
-#: model is built once and reused by the race *and* purity passes
+#: model is built once and reused by the lint, race *and* purity rules
 #: (exactly how ``lint --deep`` and ``baseline`` run them), so its cost
 #: is budgeted once rather than double-counted into each pass.
 MODEL_BUDGET_SECONDS = 2.0
@@ -67,9 +67,6 @@ def test_analysis_cost_trajectory(full_space, report):
     ambiguity_findings, ambiguity_seconds = _timed(
         lambda: check_ambiguity(artifacts)
     )
-    lint_findings, lint_seconds = _timed(
-        lambda: lint_paths([REPO_SRC], LintConfig())
-    )
     model, model_seconds = _timed(lambda: build_model([REPO_SRC]))
     analysis, race_seconds = _timed(
         lambda: analyze_model(model, RaceConfig())
@@ -81,6 +78,9 @@ def test_analysis_cost_trajectory(full_space, report):
     )
     purity_findings, purity_rules_seconds = _timed(purity.run)
     purity_seconds = summaries_seconds + purity_rules_seconds
+    lint_findings, lint_seconds = _timed(
+        lambda: analysis.lint() + purity.lint()
+    )
 
     audit_seconds = type_seconds + ambiguity_seconds
     report(
@@ -94,10 +94,11 @@ def test_analysis_cost_trajectory(full_space, report):
         f"{len(type_findings)} finding(s)",
         f"  audit: ambiguity (A)  {ambiguity_seconds * 1000:8.1f} ms  "
         f"{len(ambiguity_findings)} finding(s)",
-        f"  lint   (L codes)      {lint_seconds * 1000:8.1f} ms  "
-        f"{len(lint_findings)} finding(s)",
         f"  program model         {model_seconds * 1000:8.1f} ms  "
-        f"(shared by race + purity; budget {MODEL_BUDGET_SECONDS:.0f} s)",
+        f"(shared by lint + race + purity; "
+        f"budget {MODEL_BUDGET_SECONDS:.0f} s)",
+        f"  lint   (L codes)      {lint_seconds * 1000:8.1f} ms  "
+        f"{len(lint_findings)} finding(s) over the shared model",
         f"  race   (R/D codes)    {race_seconds * 1000:8.1f} ms  "
         f"{len(race_findings)} finding(s)  "
         f"({len(analysis.functions)} functions, "
@@ -121,7 +122,7 @@ def test_analysis_cost_trajectory(full_space, report):
     # (fsync-under-lock durability contract) or the post-hoc feedback
     # reader — all carried in .repro-baseline; nothing new may appear.
     assert sorted({d.code for d in race_findings}) == ["R002", "R003"]
-    assert len(race_findings) == 11
+    assert len(race_findings) == 13
     # Every shipped purity finding is a reviewed replay-transparent
     # P003 (ephemeral per-statement objects, generation-invalidated
     # memos, observability counters) carried in .repro-baseline.

@@ -1,15 +1,12 @@
 """Static analysis for the conversation system.
 
-Six layers share one diagnostic framework (``repro check`` / ``lint`` /
+Five layers share one diagnostic framework (``repro check`` / ``lint`` /
 ``audit`` / ``race`` / ``purity``):
 
 * :mod:`repro.analysis.space_checker` cross-validates the bootstrapped
   conversation-space artifacts (templates, logic table, dialogue tree,
   entities) against the ontology and the KB schema — at build time, not
   in front of a user;
-* :mod:`repro.analysis.linter` enforces codebase invariants (lock-guarded
-  shared state, injectable clocks, no swallowed exceptions, no blocking
-  I/O on the request path) with custom ``ast`` checkers;
 * :mod:`repro.analysis.type_checker` does typed symbolic evaluation over
   each template's parsed SQL AST against KB column types and value
   statistics (T001–T008);
@@ -19,12 +16,18 @@ Six layers share one diagnostic framework (``repro check`` / ``lint`` /
 * :mod:`repro.analysis.model` + :mod:`repro.analysis.race` build a
   whole-program model (lock identities, guarded-field sites, a call
   graph with effect summaries) and run global concurrency rules
-  (R001–R004) and crash-consistency rules (D001–D003) over it;
+  (R001–R004), crash-consistency rules (D001–D003) and the per-method
+  lint rules L001 (unlocked shared mutation) and L004 (blocking I/O in
+  a request handler) over it;
 * :mod:`repro.analysis.purity` runs replay-determinism rules
   (P001–P004: nondeterminism, order escapes, hidden state, environment
-  dependence on the turn path) and exception-flow rules (X001–X003)
-  over the same model, proving journal replay reproduces every turn
-  byte-for-byte and no exception kills a worker mid-commit.
+  dependence on the turn path), exception-flow rules (X001–X003) and
+  the lint rules L002 (direct clock call) and L003 (swallowed
+  exception) over the same model, proving journal replay reproduces
+  every turn byte-for-byte and no exception kills a worker mid-commit.
+
+``repro lint`` reports the L codes (plus L000 for unparseable files),
+``lint --deep`` everything, all from one model build.
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` values;
 reviewed, intentional ones are suppressed by a
@@ -51,11 +54,6 @@ from repro.analysis.diagnostics import (
     error_count,
     render_json,
     render_pretty,
-)
-from repro.analysis.linter import (
-    LintConfig,
-    lint_paths,
-    lint_source,
 )
 from repro.analysis.model import ProjectModel, build_model
 from repro.analysis.purity import (
@@ -92,9 +90,6 @@ __all__ = [
     "error_count",
     "render_json",
     "render_pretty",
-    "LintConfig",
-    "lint_paths",
-    "lint_source",
     "ProjectModel",
     "build_model",
     "PurityConfig",

@@ -17,6 +17,7 @@ exactly, or be ``*`` to suppress every code at a location.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -44,6 +45,26 @@ class BaselineEntry:
         if self.code != "*" and self.code != diag.code:
             return False
         return fnmatchcase(diag.location.canonical(), self.location_pattern)
+
+    def can_match_under(self, roots: list[str | Path]) -> bool:
+        """Could the pattern name a file under one of ``roots``?
+
+        Compares the pattern's literal directory (up to its first glob
+        character) with each root; a pattern with no literal directory
+        could match anywhere.
+        """
+        path = self.location_pattern.split("::")[0]
+        directory = re.split(r"[*?[]", path)[0].rpartition("/")[0]
+        if not directory:
+            return True
+        for root in (Path(root).as_posix() for root in roots):
+            if root == "." or directory == root:
+                return True
+            if directory.startswith(root + "/") or root.startswith(
+                directory + "/"
+            ):
+                return True
+        return False
 
 
 @dataclass

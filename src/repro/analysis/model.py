@@ -1,10 +1,8 @@
-"""Phase 1 of ``repro race``: the whole-program concurrency model.
+"""The whole-program model every codebase rule runs over.
 
-The intra-method lint (:mod:`repro.analysis.linter`) sees one method at
-a time; the race analyzer needs the *global* structure those methods
-imply — the same move MedTQ makes when it derives a predicate graph
-from local declarations.  This module builds that structure from the
-AST alone:
+``repro lint``, ``race`` and ``purity`` all ask their questions of one
+graph built here from the AST alone — the same move MedTQ makes when it
+derives a predicate graph from local declarations:
 
 * every class's **lock attributes** (``self._lock = threading.Lock()``
   declarations, dataclass ``field(default_factory=threading.Lock)``
@@ -19,10 +17,11 @@ AST alone:
   resolvable ``obj.field`` read/write with the lock set held at that
   site, every call site, every blocking syscall, and the ordered
   file-I/O events (write / flush / fsync / rename / journal append /
-  return) the durability rules D001–D003 check.
+  return) the durability rules D001–D003 check;
+* per-module facts: every ``except`` clause with its enclosing symbol
+  (nested functions included), and the files that failed to parse.
 
-Conventions honoured (mirroring the L001 lint so correct code models
-cleanly):
+Conventions honoured (so correct code models cleanly):
 
 * ``__init__``/``__post_init__`` run before the object is shared;
 * a method named ``*_locked`` documents that its caller holds the
@@ -34,8 +33,8 @@ cleanly):
   cases the naming convention cannot express.
 
 The model never guesses: an unresolvable receiver or callee is simply
-omitted, so every edge and site the phase-2 rules reason about is
-backed by a declaration the code actually makes.
+omitted, so every edge and site the rules reason about is backed by a
+declaration the code actually makes.
 """
 
 from __future__ import annotations
@@ -52,20 +51,25 @@ CALLER_HELD = "<caller>"
 #: ``def`` line annotation declaring caller-held locks.
 _LOCKS_PRAGMA = re.compile(r"#\s*locks:\s*([A-Za-z0-9_.\[\]<>, ]+)")
 
-#: Dotted calls that block the calling thread (syscalls, sleeps).
-BLOCKING_QUALIFIED = {
+#: Calls that block on file I/O (L004 keeps them off request handlers).
+FILE_IO_BARE = {"open"}
+FILE_IO_ATTRS = {
+    "read_text", "write_text", "read_bytes", "write_bytes", "mkdir", "unlink",
+}
+FILE_IO_QUALIFIED = {
     ("os", "fsync"), ("os", "replace"), ("os", "rename"),
     ("os", "remove"), ("os", "unlink"),
+    ("json", "dump"), ("json", "load"),
+}
+
+#: Every dotted call that blocks the calling thread: file I/O plus
+#: sleeps, child processes and sockets (R003's raw material).
+BLOCKING_QUALIFIED = FILE_IO_QUALIFIED | {
     ("time", "sleep"),
     ("subprocess", "Popen"), ("subprocess", "run"), ("subprocess", "call"),
     ("subprocess", "check_call"), ("subprocess", "check_output"),
     ("socket", "create_connection"),
     ("request", "urlopen"),
-    ("json", "dump"), ("json", "load"),
-}
-BLOCKING_BARE = {"open"}
-BLOCKING_ATTRS = {
-    "read_text", "write_text", "read_bytes", "write_bytes", "mkdir",
 }
 
 #: Attribute calls that write bytes out (D001's "write before rename").
@@ -179,6 +183,9 @@ class FieldAccess:
     write: bool
     line: int
     held: frozenset
+    #: An assignment or ``del`` statement targets the field (a write
+    #: through a mutating method call such as ``.append`` is not one).
+    assigned: bool = False
 
 
 @dataclass
@@ -237,6 +244,7 @@ class ExceptClause:
     types: tuple  # caught type names; () means a bare ``except:``
     line: int
     reraises: bool  # the handler body re-raises the caught exception
+    uses_name: bool  # the handler body reads the ``as`` name it binds
 
 
 @dataclass
@@ -258,6 +266,7 @@ class BlockingCall:
     what: str
     line: int
     held: frozenset
+    file_io: bool  # blocks on the filesystem, not a sleep/process/socket
 
 
 @dataclass(frozen=True)
@@ -302,7 +311,6 @@ class FunctionModel:
     raises: list = field(default_factory=list)
     global_writes: list = field(default_factory=list)
     order_escapes: list = field(default_factory=list)
-    except_clauses: list = field(default_factory=list)
     try_blocks: list = field(default_factory=list)
     #: Calls that did not resolve to a project function and were not
     #: bare-name builtins — while any are reachable, the raise-set of
@@ -381,6 +389,9 @@ class ModuleModel:
     raw_imports: list = field(default_factory=list)  # (local, dotted, symbol)
     symbols: dict = field(default_factory=dict)  # local name -> resolution
     global_names: set = field(default_factory=set)  # module-level variables
+    #: (enclosing dotted symbol or "<module>", ExceptClause) for every
+    #: handler in the module, nested functions included.
+    except_clauses: list = field(default_factory=list)
 
 
 @dataclass
@@ -390,6 +401,9 @@ class ProjectModel:
     modules: dict = field(default_factory=dict)  # dotted -> ModuleModel
     classes: dict = field(default_factory=dict)  # bare name -> ClassModel
     ambiguous_classes: set = field(default_factory=set)
+    #: Files that could not be parsed, as (path, SyntaxError) — absent
+    #: from ``modules``, so every rule is blind to them.
+    parse_errors: list = field(default_factory=list)
 
     def all_functions(self):
         for module in self.modules.values():
@@ -401,6 +415,31 @@ class ProjectModel:
         if name in self.ambiguous_classes:
             return None
         return self.classes.get(name)
+
+    def constructing(self) -> set[int]:
+        """ids of every ``__init__``/``__post_init__`` and of every
+        function whose callers are all such (or again init-only): they
+        run while the object is still being built, before it is shared,
+        so their ``self`` writes construct rather than mutate."""
+        functions = list(self.all_functions())
+        callers: dict[int, set[int]] = {}
+        for function in functions:
+            for call in function.calls:
+                if call.callee is not None:
+                    callers.setdefault(id(call.callee), set()).add(
+                        id(function)
+                    )
+        out = {id(function) for function in functions if function.is_init}
+        changed = True
+        while changed:
+            changed = False
+            for function in functions:
+                key = id(function)
+                caller_ids = callers.get(key)
+                if key not in out and caller_ids and caller_ids <= out:
+                    out.add(key)
+                    changed = True
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +475,21 @@ def _handler_type_names(node: ast.expr | None) -> tuple:
     return tuple(names)
 
 
+def _except_clause(handler: ast.ExceptHandler) -> ExceptClause:
+    body = [sub for stmt in handler.body for sub in ast.walk(stmt)]
+    return ExceptClause(
+        types=_handler_type_names(handler.type),
+        line=handler.lineno,
+        reraises=any(
+            isinstance(sub, ast.Raise) and sub.exc is None for sub in body
+        ),
+        uses_name=handler.name is not None and any(
+            isinstance(sub, ast.Name) and sub.id == handler.name
+            for sub in body
+        ),
+    )
+
+
 def _is_lock_constructor(node: ast.expr) -> bool:
     if not isinstance(node, ast.Call):
         return False
@@ -465,15 +519,20 @@ def _module_name(root: Path, file: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _collect_module(
-    path: Path | str, dotted: str, source: str | None = None
-) -> ModuleModel | None:
+def _add_module(
+    project: ProjectModel, path: Path | str, dotted: str,
+    source: str | None = None,
+) -> None:
     if source is None:
         source = Path(path).read_text(encoding="utf-8")
     try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return None
+        project.modules[dotted] = _collect_module(path, dotted, source)
+    except SyntaxError as exc:
+        project.parse_errors.append((str(path), exc))
+
+
+def _collect_module(path: Path | str, dotted: str, source: str) -> ModuleModel:
+    tree = ast.parse(source)
     module = ModuleModel(path=str(path), dotted=dotted, tree=tree, source=source)
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
@@ -508,7 +567,9 @@ def _collect_module(
     # Imports anywhere in the module (function-local imports are the
     # house style for breaking circular dependencies) resolve names for
     # the whole module — a small over-approximation, never ambiguous.
-    for node in ast.walk(tree):
+    pending: list[tuple[ast.AST, tuple[str, ...]]] = [(tree, ())]
+    while pending:
+        node, scope = pending.pop()
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -517,6 +578,15 @@ def _collect_module(
             for alias in node.names:
                 local = alias.asname or alias.name
                 module.raw_imports.append((local, node.module, alias.name))
+        elif isinstance(node, ast.ExceptHandler):
+            module.except_clauses.append(
+                (".".join(scope) or "<module>", _except_clause(node))
+            )
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            scope += (node.name,)
+        pending.extend((child, scope) for child in ast.iter_child_nodes(node))
     return module
 
 
@@ -1006,13 +1076,15 @@ class _BodyWalker:
 
     # -- effect recording ----------------------------------------------------
 
-    def _record_access(self, cls: ClassModel, attr: str, write, line, held):
+    def _record_access(
+        self, cls: ClassModel, attr: str, write, line, held, assigned=False
+    ):
         if attr not in cls.field_names() and attr not in cls.lock_attrs():
             return
         self.function.accesses.append(
             FieldAccess(
                 cls=cls.name, attr=attr, write=write, line=line,
-                held=frozenset(held),
+                held=frozenset(held), assigned=assigned,
             )
         )
 
@@ -1148,21 +1220,18 @@ class _BodyWalker:
 
     def _record_blocking(self, node: ast.Call, held: frozenset) -> None:
         name = _dotted_name(node.func)
-        what = None
-        if name is not None:
-            if len(name) == 1 and name[0] in BLOCKING_BARE:
-                what = name[0]
-            elif len(name) >= 2 and (name[-2], name[-1]) in BLOCKING_QUALIFIED:
-                what = ".".join(name[-2:])
-            elif name[-1] in BLOCKING_ATTRS:
-                what = name[-1]
-        elif isinstance(node.func, ast.Attribute) and (
-            node.func.attr in BLOCKING_ATTRS
-        ):
-            what = node.func.attr
+        tail = name[-1] if name else getattr(node.func, "attr", None)
+        what, file_io = None, True
+        if name is not None and len(name) == 1 and name[0] in FILE_IO_BARE:
+            what = name[0]
+        elif name is not None and name[-2:] in BLOCKING_QUALIFIED:
+            what, file_io = ".".join(name[-2:]), name[-2:] in FILE_IO_QUALIFIED
+        elif tail in FILE_IO_ATTRS:
+            what = tail
         if what is not None:
             self.function.blocking.append(
-                BlockingCall(what=what, line=node.lineno, held=held)
+                BlockingCall(what=what, line=node.lineno, held=held,
+                             file_io=file_io)
             )
 
     def _record_io(self, node: ast.Call, held: frozenset) -> None:
@@ -1247,7 +1316,9 @@ class _BodyWalker:
                 self._record_global_write(receiver.value.id, line)
             owner = self._receiver_class(receiver.value)
             if owner is not None:
-                self._record_access(owner, receiver.attr, True, line, held)
+                self._record_access(
+                    owner, receiver.attr, True, line, held, assigned=True
+                )
         if isinstance(target, (ast.Tuple, ast.List)):
             elems = (
                 value_type.elems
@@ -1374,19 +1445,7 @@ class _BodyWalker:
             self._walk_block(node.orelse, held)
             return
         if isinstance(node, ast.Try):
-            clauses = []
-            for handler in node.handlers:
-                reraises = any(
-                    isinstance(sub, ast.Raise) and sub.exc is None
-                    for stmt in handler.body
-                    for sub in ast.walk(stmt)
-                )
-                clauses.append(
-                    ExceptClause(
-                        types=_handler_type_names(handler.type),
-                        line=handler.lineno, reraises=reraises,
-                    )
-                )
+            clauses = [_except_clause(handler) for handler in node.handlers]
             block = TryBlock(line=node.lineno, clauses=clauses)
             caught = tuple(
                 name
@@ -1400,7 +1459,6 @@ class _BodyWalker:
             self._caught_stack.pop()
             self._try_stack.pop()
             self.function.try_blocks.append(block)
-            self.function.except_clauses.extend(clauses)
             for handler in node.handlers:
                 self._walk_block(handler.body, held)
             self._walk_block(node.orelse, held)
@@ -1464,10 +1522,7 @@ def build_model(paths: list[str | Path]) -> ProjectModel:
         files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
         root = path if path.is_dir() else path.parent
         for file in files:
-            dotted = _module_name(root, file)
-            module = _collect_module(file, dotted)
-            if module is not None:
-                project.modules[dotted] = module
+            _add_module(project, file, _module_name(root, file))
     return _finish_model(project)
 
 
@@ -1477,7 +1532,5 @@ def build_model_from_sources(sources: dict[str, str]) -> ProjectModel:
     project = ProjectModel()
     for path, source in sources.items():
         dotted = ".".join(Path(path).with_suffix("").parts)
-        module = _collect_module(path, dotted, source=source)
-        if module is not None:
-            project.modules[dotted] = module
+        _add_module(project, path, dotted, source)
     return _finish_model(project)

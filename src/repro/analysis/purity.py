@@ -13,6 +13,10 @@ these rules prove them at CI time over the whole-program model from
 Diagnostic codes
 ----------------
 ======  =========================  =========================================
+L002    direct-clock-call          ``time.time()`` etc. in a module whose
+                                   functions take an injectable ``clock``
+L003    swallowed-exception        broad ``except`` that neither uses its
+                                   error nor re-raises it
 P001    nondet-in-turn-path        wall-clock/random/uuid/entropy call
                                    reachable from a pipeline stage without
                                    the injected clock/rng
@@ -182,7 +186,7 @@ class PurityAnalysis:
         self._compute_reachability()
         self._summarize_raises()
         self._compute_closedness()
-        self._find_init_only()
+        self.constructing = project.constructing()  # P003 exemption
 
     # -- stage entry points --------------------------------------------------
 
@@ -289,40 +293,25 @@ class PurityAnalysis:
                         break
         self.closed = closed
 
-    # -- init-only reachability (P003 exemption) -----------------------------
+    # -- L002: direct clock calls in clock-injected modules -----------------
 
-    def _find_init_only(self) -> None:
-        """Functions whose every caller is an ``__init__`` (or another
-        init-only function): they run while the object is still being
-        built, so ``self`` writes construct rather than mutate."""
-        callers: dict[int, set[int]] = {}
-        by_id = {id(f): f for f in self.functions}
+    def check_direct_clock(self, out: DiagnosticCollector) -> None:
+        injected = {
+            function.path for function in self.functions
+            if "clock" in function.param_types
+        }
         for function in self.functions:
-            for call in function.calls:
-                if call.callee is not None:
-                    callers.setdefault(id(call.callee), set()).add(
-                        id(function)
+            if function.path not in injected:
+                continue
+            for call in function.nondet_calls:
+                if call.kind == "clock":
+                    out.error(
+                        "L002",
+                        f"direct {call.what}() call in a module with an "
+                        "injectable clock; thread the clock through instead",
+                        Location(function.path, call.line, function.qualname),
+                        rule="direct-clock-call",
                     )
-        init_only: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for function in self.functions:
-                key = id(function)
-                if key in init_only or function.is_init:
-                    continue
-                caller_ids = callers.get(key)
-                if not caller_ids:
-                    continue
-                if all(
-                    by_id[c].is_init or c in init_only for c in caller_ids
-                ):
-                    init_only.add(key)
-                    changed = True
-        self.init_only = init_only
-
-    def _is_constructing(self, function: FunctionModel) -> bool:
-        return function.is_init or id(function) in self.init_only
 
     # -- P001/P004: nondeterminism on the turn path --------------------------
 
@@ -406,7 +395,7 @@ class PurityAnalysis:
                     rule="hidden-state-write",
                     chain=_chain_payload(witness),
                 )
-            if self._is_constructing(function):
+            if id(function) in self.constructing:
                 # __init__ (and its init-only helpers) writes fields of
                 # the object under construction — not shared state.
                 continue
@@ -527,29 +516,57 @@ class PurityAnalysis:
                         rule="dead-except-clause",
                     )
 
-    # -- X003: over-broad catches --------------------------------------------
+    # -- L003/X003: swallowing and over-broad catches ------------------------
+
+    def _except_clauses(self):
+        """(path, symbol, clause) for every handler that does not
+        re-raise, nested functions and module scope included."""
+        for module in self.project.modules.values():
+            for symbol, clause in module.except_clauses:
+                if not clause.reraises:
+                    yield module.path, symbol, clause
+
+    def check_swallowed_exceptions(self, out: DiagnosticCollector) -> None:
+        for path, symbol, clause in self._except_clauses():
+            if clause.uses_name or (
+                clause.types
+                and not {"Exception", "BaseException"} & set(clause.types)
+            ):
+                continue
+            caught = "except Exception" if clause.types else "bare except"
+            out.error(
+                "L003",
+                f"{caught} neither inspects nor re-raises the error — narrow "
+                "the exception type or handle it explicitly",
+                Location(path, clause.line, symbol),
+                rule="swallowed-exception",
+            )
 
     def check_broad_catches(self, out: DiagnosticCollector) -> None:
-        for function in self.functions:
-            for clause in function.except_clauses:
-                if clause.reraises:
-                    continue
-                if clause.types and "BaseException" not in clause.types:
-                    continue
-                what = (
-                    "bare except:" if not clause.types
-                    else "except BaseException"
-                )
-                out.error(
-                    "X003",
-                    f"{what} without re-raise swallows KeyboardInterrupt "
-                    f"and SystemExit — the worker cannot be shut down or "
-                    f"drained cleanly through this handler",
-                    Location(function.path, clause.line, function.qualname),
-                    rule="over-broad-catch",
-                )
+        for path, symbol, clause in self._except_clauses():
+            if clause.types and "BaseException" not in clause.types:
+                continue
+            what = (
+                "bare except:" if not clause.types
+                else "except BaseException"
+            )
+            out.error(
+                "X003",
+                f"{what} without re-raise swallows KeyboardInterrupt "
+                f"and SystemExit — the worker cannot be shut down or "
+                f"drained cleanly through this handler",
+                Location(path, clause.line, symbol),
+                rule="over-broad-catch",
+            )
 
-    # -- entry point ---------------------------------------------------------
+    # -- entry points --------------------------------------------------------
+
+    def lint(self) -> list[Diagnostic]:
+        """The per-module rules ``repro lint`` reports (L002, L003)."""
+        out = DiagnosticCollector()
+        self.check_direct_clock(out)
+        self.check_swallowed_exceptions(out)
+        return out.sorted()
 
     def run(self) -> list[Diagnostic]:
         out = DiagnosticCollector()

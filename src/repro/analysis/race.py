@@ -1,16 +1,19 @@
-"""Phase 2 of ``repro race``: global concurrency & crash-consistency rules.
+"""``repro race``: concurrency & crash-consistency rules.
 
 These rules run over the whole-program model built by
 :mod:`repro.analysis.model` — the same split as the conversation-space
 checkers, where artifact generation and validation are separate layers.
-Where L001–L004 check one method at a time, these rules check relations
-*between* methods: the lock-order graph, per-field guard assignments
-across every access site in the project, and the write→fsync→rename
-discipline of the durability layer.
+L001 and L004 look at one method at a time; the R/D rules check
+relations *between* methods: the lock-order graph, per-field guard
+assignments across every access site in the project, and the
+write→fsync→rename discipline of the durability layer.
 
 Diagnostic codes
 ----------------
 ======  =========================  =========================================
+L001    unlocked-shared-mutation   ``self.x`` written outside any lock in a
+                                   class that owns a lock
+L004    blocking-io-in-handler     file I/O inside a request-handler method
 R001    lock-order-cycle           ``A→B`` in one path, ``B→A`` in another
 R002    inconsistent-guard         same field accessed under different locks
                                    or both with and without one
@@ -55,11 +58,11 @@ from repro.analysis.model import (
 
 @dataclass(frozen=True)
 class RaceConfig:
-    """Tunable scope of the race pass (mirrors ``LintConfig``)."""
+    """Tunable scope of the race pass and of L001/L004."""
 
-    #: Methods treated as request-handler entry points wherever they
-    #: appear in a handler module, plus ``do_*`` methods of
-    #: ``*HTTPRequestHandler`` subclasses.
+    #: Methods treated as request-handler entry points (R003's reach and
+    #: L004's scope) wherever they appear in a handler module, plus
+    #: ``do_*`` methods of ``*HTTPRequestHandler`` subclasses.
     handler_methods: tuple[str, ...] = (
         "_process_request", "handle", "chat", "feedback", "health",
         "_turn", "forward", "broadcast",
@@ -108,7 +111,7 @@ class RaceAnalysis:
         self._summarize()
         self._build_lock_graph()
         self._find_handler_locks()
-        self._find_init_only()
+        self.constructing = project.constructing()  # R002 exemption
 
     # -- transitive effect summaries -----------------------------------------
 
@@ -208,40 +211,6 @@ class RaceAnalysis:
             for lock in function.trans_acquires:
                 self.handler_locks.setdefault(lock, function.qualname)
 
-    # -- init-only reachability (R002 exemption) -----------------------------
-
-    def _find_init_only(self) -> None:
-        """Functions whose every caller is an ``__init__`` (or another
-        init-only function) run before the object is shared."""
-        callers: dict[int, set[int]] = {}
-        by_id = {id(f): f for f in self.functions}
-        for function in self.functions:
-            for call in function.calls:
-                if call.callee is not None:
-                    callers.setdefault(id(call.callee), set()).add(
-                        id(function)
-                    )
-        init_only: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for function in self.functions:
-                key = id(function)
-                if key in init_only or function.is_init:
-                    continue
-                caller_ids = callers.get(key)
-                if not caller_ids:
-                    continue
-                if all(
-                    by_id[c].is_init or c in init_only for c in caller_ids
-                ):
-                    init_only.add(key)
-                    changed = True
-        self.init_only = init_only
-
-    def _is_prelaunch(self, function: FunctionModel) -> bool:
-        return function.is_init or id(function) in self.init_only
-
     # -- R001: lock-order cycles ---------------------------------------------
 
     def check_lock_order(self, out: DiagnosticCollector) -> None:
@@ -303,7 +272,7 @@ class RaceAnalysis:
     def check_field_guards(self, out: DiagnosticCollector) -> None:
         sites: dict[tuple[str, str], list] = {}
         for function in self.functions:
-            if self._is_prelaunch(function):
+            if id(function) in self.constructing:
                 continue
             for access in function.accesses:
                 cls = self.project.resolve_class(access.cls)
@@ -378,6 +347,52 @@ class RaceAnalysis:
             Location(witness_fn.path, witness.line, witness_fn.qualname),
             rule="inconsistent-guard",
         )
+
+    # -- L001: writes outside every lock in a lock-owning class --------------
+
+    def check_unlocked_mutation(self, out: DiagnosticCollector) -> None:
+        """Per method: a write to one of ``self``'s fields with no lock
+        held, in a class that owns a lock.  Construction (as R002 exempts
+        it) is exempt; ``*_locked`` methods and ``# locks:`` pragmas count
+        as holding the declared lock."""
+        for function in self.functions:
+            cls = function.class_model
+            if cls is None or id(function) in self.constructing:
+                continue
+            locks = cls.lock_attrs()
+            if not locks:
+                continue
+            for access in function.accesses:
+                if (
+                    not access.assigned or access.held
+                    or access.cls != cls.name or access.attr in locks
+                ):
+                    continue
+                out.error(
+                    "L001",
+                    f"self.{access.attr} is mutated outside a 'with self."
+                    f"{sorted(locks)[0]}:' block in a class that guards "
+                    "its state with a lock",
+                    Location(function.path, access.line, function.qualname),
+                    rule="unlocked-shared-mutation",
+                )
+
+    # -- L004: blocking file I/O in request handlers -------------------------
+
+    def check_blocking_io(self, out: DiagnosticCollector) -> None:
+        for function in self.functions:
+            if not self._is_handler_entry(function):
+                continue
+            for call in function.blocking:
+                if call.file_io:
+                    out.error(
+                        "L004",
+                        f"blocking file I/O ({call.what}) inside request "
+                        f"handler {function.qualname}; move it off the "
+                        "request path (e.g. to shutdown/flush)",
+                        Location(function.path, call.line, function.qualname),
+                        rule="blocking-io-in-handler",
+                    )
 
     # -- R003: blocking syscalls under a lock --------------------------------
 
@@ -528,7 +543,14 @@ class RaceAnalysis:
                         rule="return-before-commit",
                     )
 
-    # -- entry point ---------------------------------------------------------
+    # -- entry points --------------------------------------------------------
+
+    def lint(self) -> list[Diagnostic]:
+        """The per-method rules ``repro lint`` reports (L001, L004)."""
+        out = DiagnosticCollector()
+        self.check_unlocked_mutation(out)
+        self.check_blocking_io(out)
+        return out.sorted()
 
     def run(self) -> list[Diagnostic]:
         out = DiagnosticCollector()

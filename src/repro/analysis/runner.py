@@ -28,8 +28,7 @@ from repro.analysis.diagnostics import (
     render_pretty,
     sort_key,
 )
-from repro.analysis.linter import LintConfig, lint_paths
-from repro.analysis.model import build_model
+from repro.analysis.model import ProjectModel, build_model
 from repro.analysis.purity import PurityConfig, analyze_purity_model
 from repro.analysis.race import RaceConfig, analyze_model
 from repro.analysis.space_checker import build_artifacts, check_space
@@ -50,12 +49,14 @@ def _report(
     output_fn,
     header: str,
     code_prefixes: tuple[str, ...] | None = None,
+    roots: list[str] | None = None,
 ) -> int:
     """Render and compute the exit code.
 
     ``code_prefixes`` scopes the unused-baseline-entry notes to the
     codes this command can actually emit — ``repro lint`` should not
-    nag about an ``A003`` entry it could never match.
+    nag about an ``A003`` entry it could never match — and ``roots``
+    to entries that could match a file under the analyzed paths.
     """
     active, suppressed = baseline.apply(diagnostics)
     if args.format == "json":
@@ -69,6 +70,8 @@ def _report(
             if code_prefixes is not None and entry.code != "*" and not any(
                 entry.code.startswith(prefix) for prefix in code_prefixes
             ):
+                continue
+            if roots is not None and not entry.can_match_under(roots):
                 continue
             output_fn(
                 f"note: baseline entry '{entry.code} "
@@ -185,6 +188,33 @@ def cmd_check(args: argparse.Namespace, output_fn=print) -> int:
     )
 
 
+def parse_errors(model: ProjectModel) -> list[Diagnostic]:
+    """L000 for every file the model could not parse (and so never saw)."""
+    out = DiagnosticCollector()
+    for path, exc in model.parse_errors:
+        out.error(
+            "L000",
+            f"cannot parse module: {exc.msg}",
+            Location(path, exc.lineno),
+            rule="syntax-error",
+        )
+    return out.sorted()
+
+
+def lint_model(
+    model: ProjectModel,
+    config: RaceConfig | None = None,
+    deep: bool = False,
+) -> list[Diagnostic]:
+    """The L rules over one built model (plus R/D/P/X when ``deep``)."""
+    race = analyze_model(model, config)
+    purity = analyze_purity_model(model, PurityConfig())
+    diagnostics = parse_errors(model) + race.lint() + purity.lint()
+    if deep:
+        diagnostics += race.run() + purity.run()
+    return sorted(diagnostics, key=sort_key)
+
+
 def _lint_targets(args: argparse.Namespace) -> list[str]:
     paths = args.paths or ["src/repro"]
     missing = [p for p in paths if not Path(p).exists()]
@@ -196,16 +226,8 @@ def _lint_targets(args: argparse.Namespace) -> list[str]:
 def cmd_lint(args: argparse.Namespace, output_fn=print) -> int:
     """Run the concurrency/purity lint over the codebase."""
     paths = _lint_targets(args)
-    diagnostics = lint_paths(paths, LintConfig())
     deep = getattr(args, "deep", False)
-    if deep:
-        model = build_model(paths)
-        diagnostics = sorted(
-            diagnostics
-            + analyze_model(model, RaceConfig()).run()
-            + analyze_purity_model(model, PurityConfig()).run(),
-            key=sort_key,
-        )
+    diagnostics = lint_model(build_model(paths), deep=deep)
     header = (
         f"repro lint{' --deep' if deep else ''}: "
         f"{', '.join(str(p) for p in paths)}"
@@ -213,7 +235,8 @@ def cmd_lint(args: argparse.Namespace, output_fn=print) -> int:
     baseline = _load_baseline(args)
     prefixes = ("L", "R", "D", "P", "X") if deep else ("L",)
     return _report(
-        diagnostics, baseline, args, output_fn, header, code_prefixes=prefixes
+        diagnostics, baseline, args, output_fn, header,
+        code_prefixes=prefixes, roots=paths,
     )
 
 
@@ -221,11 +244,12 @@ def cmd_race(args: argparse.Namespace, output_fn=print) -> int:
     """Run the whole-program concurrency & crash-consistency analyzer."""
     started = time.perf_counter()
     paths = _lint_targets(args)
-    analysis = analyze_model(build_model(paths), RaceConfig())
+    model = build_model(paths)
+    analysis = analyze_model(model, RaceConfig())
     if getattr(args, "graph", False):
         output_fn(analysis.graph_dot())
         return 0
-    diagnostics = analysis.run()
+    diagnostics = parse_errors(model) + analysis.run()
     elapsed = time.perf_counter() - started
     header = (
         f"repro race: {', '.join(str(p) for p in paths)} — "
@@ -236,6 +260,7 @@ def cmd_race(args: argparse.Namespace, output_fn=print) -> int:
     return _report(
         diagnostics, baseline=_load_baseline(args), args=args,
         output_fn=output_fn, header=header, code_prefixes=("R", "D"),
+        roots=paths,
     )
 
 
@@ -243,8 +268,9 @@ def cmd_purity(args: argparse.Namespace, output_fn=print) -> int:
     """Run the replay-determinism & exception-flow analyzer."""
     started = time.perf_counter()
     paths = _lint_targets(args)
-    analysis = analyze_purity_model(build_model(paths), PurityConfig())
-    diagnostics = analysis.run()
+    model = build_model(paths)
+    analysis = analyze_purity_model(model, PurityConfig())
+    diagnostics = parse_errors(model) + analysis.run()
     elapsed = time.perf_counter() - started
     header = (
         f"repro purity: {', '.join(str(p) for p in paths)} — "
@@ -256,6 +282,7 @@ def cmd_purity(args: argparse.Namespace, output_fn=print) -> int:
     return _report(
         diagnostics, baseline=_load_baseline(args), args=args,
         output_fn=output_fn, header=header, code_prefixes=("P", "X"),
+        roots=paths,
     )
 
 
@@ -287,10 +314,7 @@ def _all_diagnostics(args: argparse.Namespace) -> list[Diagnostic]:
     diagnostics += audit
     lint_root = Path("src/repro")
     if lint_root.exists():
-        diagnostics += lint_paths([lint_root], LintConfig())
-        model = build_model([lint_root])
-        diagnostics += analyze_model(model, RaceConfig()).run()
-        diagnostics += analyze_purity_model(model, PurityConfig()).run()
+        diagnostics += lint_model(build_model([lint_root]), deep=True)
     return sorted(diagnostics, key=sort_key)
 
 

@@ -390,8 +390,17 @@ class SessionRouter(AsyncHTTPServer):
                 handle.restarts += 1
             self.metrics.counter("router_worker_restarts_total").inc()
             launched.append((handle, self._launch(handle)))
-        for _handle, _error in self._await_ready(launched):
-            pass  # one that died again is relaunched on the next sweep
+        for handle, error in self._await_ready(launched):
+            # One that died again is relaunched on the next sweep.  One
+            # still starting at its deadline has no port, and a live
+            # process is never swept again: kill it so it is.
+            if error is None or self._stopping.is_set():
+                continue
+            with handle.lock:
+                process = handle.process
+            if process is not None and process.poll() is None:
+                process.kill()
+                process.wait(timeout=5.0)
 
     # -- routing -------------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Unit tests for the codebase lint checkers (one fixture per code)."""
+"""Unit tests for the lint rules L000–L004 (one fixture per code), run
+over the whole-program model like every other codebase rule."""
 
 from __future__ import annotations
 
@@ -7,15 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.linter import LintConfig, lint_paths, lint_source
+from repro.analysis.model import build_model, build_model_from_sources
+from repro.analysis.race import RaceConfig
+from repro.analysis.runner import lint_model
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def _codes(source, path="src/repro/serving/mod.py", config=None):
-    return [d.code for d in lint_source(
-        textwrap.dedent(source), path, config
-    )]
+    model = build_model_from_sources({path: textwrap.dedent(source)})
+    return [d.code for d in lint_model(model, config)]
 
 
 class TestL000Syntax:
@@ -87,6 +89,15 @@ class TestL001UnlockedMutation:
 
                 def put(self, key, value):
                     self.items[key] = value
+        """)
+        assert codes == []
+
+    def test_locks_pragma_counts_as_held(self):
+        # The model's convention: a `# locks:` pragma on the def line
+        # declares the lock its caller holds.
+        codes = _codes(self.LOCKED_CLASS + """
+            def evict(self):  # locks: Store._lock
+                self.hits += 1
         """)
         assert codes == []
 
@@ -181,6 +192,21 @@ class TestL003SwallowedException:
         """)
         assert codes == []
 
+    def test_nested_function_handler_flagged(self):
+        source = textwrap.dedent("""
+            def outer():
+                def inner():
+                    try:
+                        return 1
+                    except Exception:
+                        pass
+                return inner
+        """)
+        diags = lint_model(build_model_from_sources({"mod.py": source}))
+        assert [(d.code, d.location.symbol) for d in diags] == [
+            ("L003", "outer.inner")
+        ]
+
     def test_narrow_exception_out_of_scope(self):
         codes = _codes("""
             def load():
@@ -227,6 +253,15 @@ class TestL004BlockingIO:
                         fh.write("x")
         """, path=path)
         assert codes == ["L004"]
+
+    def test_mkdir_and_unlink_flagged(self):
+        codes = _codes("""
+            class App:
+                def health(self, path):
+                    path.mkdir(exist_ok=True)
+                    path.unlink()
+        """, path="src/repro/serving/server.py")
+        assert codes == ["L004", "L004"]
 
     def test_same_method_outside_serving_is_fine(self):
         codes = _codes("""
@@ -284,12 +319,12 @@ class TestEntryPoints:
             "        pass\n",
             encoding="utf-8",
         )
-        diags = lint_paths([tmp_path])
+        diags = lint_model(build_model([tmp_path]))
         assert [d.code for d in diags] == ["L003"]
         assert diags[0].location.path == str(bad)
 
     def test_custom_config_handler_methods(self):
-        config = LintConfig(handler_methods=("serve_it",))
+        config = RaceConfig(handler_methods=("serve_it",))
         codes = _codes("""
             class App:
                 def serve_it(self):
@@ -300,5 +335,5 @@ class TestEntryPoints:
     def test_repro_source_tree_is_clean(self):
         # Satellite guarantee: the shipped code has no non-baselined
         # findings (the repo baseline is empty or absent by design).
-        diags = lint_paths([REPO_SRC])
+        diags = lint_model(build_model([REPO_SRC]))
         assert diags == []

@@ -368,6 +368,20 @@ class TestX003OverBroadCatch:
                     raise
         """) == []
 
+    def test_nested_function_flagged(self):
+        diags = _diags("""
+            def outer(fn):
+                def inner():
+                    try:
+                        return fn()
+                    except:
+                        return None
+                return inner
+        """)
+        assert [(d.code, d.location.symbol) for d in diags] == [
+            ("X003", "outer.inner")
+        ]
+
     def test_plain_exception_clean(self):
         # `except Exception` does not swallow KeyboardInterrupt.
         assert _codes("""
@@ -492,6 +506,13 @@ class TestShippedTree:
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint"]) == 0
         assert "matched nothing" not in capsys.readouterr().out
+
+    def test_unparseable_module_fails_with_l000(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def broken(:\n", encoding="utf-8")
+        empty = tmp_path / "baseline"
+        empty.write_text("# empty\n", encoding="utf-8")
+        assert main(["purity", str(tmp_path), "--baseline", str(empty)]) == 1
+        assert "L000" in capsys.readouterr().out
 
     def test_seeded_defect_fails_via_cli_json_with_chain(
         self, tmp_path, capsys

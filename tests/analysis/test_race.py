@@ -286,6 +286,15 @@ class TestR003BlockingUnderLock:
         assert [d.code for d in diags] == ["R003"]
         assert "chain: App.snapshot" in diags[0].message
 
+    def test_path_unlink_under_lock(self):
+        diags = _diags(self.APP + """
+            def drop(self, path):
+                with self._lock:
+                    path.unlink()
+        """, path="src/repro/serving/server.py")
+        assert [d.code for d in diags] == ["R003"]
+        assert "blocking call (unlink)" in diags[0].message
+
     def test_blocking_outside_lock_clean(self):
         codes = _codes(self.APP + """
             def snapshot(self, fd):
@@ -605,6 +614,23 @@ class TestShippedTree:
         assert out.startswith("digraph lock_order")
         # The durable store's commit protocol shows up as real edges.
         assert "SessionEntry.lock" in out
+
+    def test_unparseable_module_fails_with_l000(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def broken(:\n", encoding="utf-8")
+        empty = tmp_path / "baseline"
+        empty.write_text("# empty\n", encoding="utf-8")
+        assert main(["race", str(tmp_path), "--baseline", str(empty)]) == 1
+        assert "L000" in capsys.readouterr().out
+
+    def test_repo_baseline_has_no_notes_outside_its_tree(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Every repo baseline entry names a file under src/repro, which a
+        # run over another directory can never match.
+        (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(["race", str(tmp_path)]) == 0
+        assert "matched nothing" not in capsys.readouterr().out
 
     def test_seeded_defect_fails_via_cli_json(self, tmp_path, capsys):
         bad = tmp_path / "mod.py"

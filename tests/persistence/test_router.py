@@ -388,3 +388,30 @@ class TestMonitorSweep:
                 assert handle.alive and handle.process is not old
                 assert handle.port is not None
                 assert router._healthy(handle.port)
+
+    def test_worker_past_its_deadline_is_killed_then_relaunched(
+        self, tmp_path, monkeypatch
+    ):
+        router = _stub_router(tmp_path, monkeypatch)
+        with router:
+            victim = router.workers[0]
+            killed = victim.process
+            router.kill_worker(0, signal.SIGKILL)
+            killed.wait(timeout=10.0)
+            # The replacement waits for a sibling marker that never comes
+            # (worker 1 is still up), so it misses its deadline.
+            gate = tmp_path / "gate"
+            for marker in gate.iterdir():
+                marker.unlink()
+            router.spawn_timeout = 1.0
+            router._sweep()
+            stuck = victim.process
+            assert stuck is not killed
+            assert stuck.poll() is not None
+            assert not victim.alive and victim.port is None
+            (gate / "started-1").touch()
+            router._sweep()
+            assert victim.restarts == 2
+            assert victim.alive and victim.process is not stuck
+            assert victim.port is not None
+            assert router._healthy(victim.port)
