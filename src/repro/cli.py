@@ -372,7 +372,6 @@ def _make_server(
         max_sessions=args.max_sessions,
         session_ttl=args.session_ttl,
         cache_size=args.cache_size,
-        cache_ttl=args.cache_ttl,
         max_workers=args.turn_threads,
         request_timeout=args.request_timeout,
         log_path=args.log,
@@ -460,6 +459,11 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
         raise SystemExit(
             "--workers > 1 requires --data-dir (the durable session root)"
         )
+    if args.log:
+        raise SystemExit(
+            "--log is not supported with --workers > 1 (neither the router "
+            "nor its workers would write an interaction log)"
+        )
     worker_args = []
     if args.space:
         worker_args += ["--space", args.space]
@@ -478,7 +482,6 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
         "--session-ttl", str(args.session_ttl),
         "--max-sessions", str(args.max_sessions),
         "--cache-size", str(args.cache_size),
-        "--cache-ttl", str(args.cache_ttl),
         "--turn-threads", str(args.turn_threads),
         "--request-timeout", str(args.request_timeout),
         "--fsync", args.fsync,
@@ -641,8 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="LRU cap on live sessions")
     serve.add_argument("--cache-size", type=int, default=512,
                        help="query-cache entries")
-    serve.add_argument("--cache-ttl", type=float, default=300.0,
-                       help="query-cache entry lifetime, seconds")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes; > 1 runs the session-affine "
                             "router in front (requires --data-dir)")

@@ -714,8 +714,9 @@ class AgentStage(Stage):
 
     Stages read the agent's components (classifier, recognizer, tree,
     database, ...) through the agent attribute at run time, so the
-    serving layer's instrumentation proxies (query cache, classifier
-    timing) keep working when they are swapped in.
+    serving layer's instrumentation proxies keep working when they are
+    swapped in: classifier timing, and the query cache, which sees every
+    KB read because templates execute through ``database.query``.
     """
 
     def __init__(self, agent: "ConversationAgent") -> None:

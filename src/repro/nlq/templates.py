@@ -67,18 +67,14 @@ class StructuredQueryTemplate:
         return params
 
     def execute(self, database: Database, bindings: dict[str, str]) -> ResultSet:
-        """Instantiate and run the template against ``database``.
+        """Instantiate and run the template through ``database.query``.
 
-        Prefers the database's prepared-plan API when available
-        (:meth:`~repro.kb.database.Database.prepare`), so serving the
-        same template repeatedly never re-parses or re-plans its SQL;
-        plain ``query`` is the fallback for minimal database stand-ins.
+        Both backends' ``query`` goes through their compiled-plan cache,
+        so serving the same template repeatedly never re-parses or
+        re-plans its SQL, and the serving layer's result cache sees
+        every execution.
         """
-        params = self.instantiate(bindings)
-        prepare = getattr(database, "prepare", None)
-        if prepare is not None:
-            return prepare(self.sql).execute(params)
-        return database.query(self.sql, params)
+        return database.query(self.sql, self.instantiate(bindings))
 
 
 def _template_for_pattern(

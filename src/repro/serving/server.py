@@ -150,7 +150,6 @@ class ConversationApp:
         max_sessions: int = 1024,
         session_ttl: float = 1800.0,
         cache_size: int = 512,
-        cache_ttl: float = 300.0,
         max_workers: int = 16,
         max_pending: int = 128,
         request_timeout: float = 30.0,
@@ -199,7 +198,7 @@ class ConversationApp:
                 agent, max_sessions=max_sessions, ttl=session_ttl
             )
             self.sessions = self.store
-        self.cache = QueryCache(max_entries=cache_size, ttl=cache_ttl)
+        self.cache = QueryCache(max_entries=cache_size)
         self.request_timeout = request_timeout
         self.max_pending = max_pending
         self.log_path = Path(log_path) if log_path is not None else None
@@ -276,21 +275,20 @@ class ConversationApp:
                 "kb_backend_info",
                 lambda b=backend_label: (
                     1.0
-                    if getattr(self._original_database, "backend_name", "memory")
-                    == b
+                    if self._original_database.backend_name == b
                     else 0.0
                 ),
                 label=("backend", backend_label),
             )
         self.metrics.gauge(
             "kb_epoch",
-            lambda: float(getattr(self._original_database, "epoch", 0)),
+            lambda: float(self._original_database.epoch),
         )
         for path_label in ("memory", "sql", "fallback"):
             self.metrics.gauge(
                 "plan_lowered_total",
                 lambda p=path_label: float(
-                    self._execution_paths().get(p, 0)
+                    self._original_database.execution_paths().get(p, 0)
                 ),
                 label=("path", path_label),
             )
@@ -675,10 +673,6 @@ class ConversationApp:
         self.metrics.counter("feedback_total", ("feedback", feedback)).inc()
         return {"session_id": str(session_id), "feedback": feedback}
 
-    def _execution_paths(self) -> dict[str, int]:
-        reader = getattr(self._original_database, "execution_paths", None)
-        return reader() if reader is not None else {}
-
     def refresh_kb(self, payload: dict | None = None) -> dict:
         """Build, validate and atomically swap in the next KB snapshot.
 
@@ -699,12 +693,6 @@ class ConversationApp:
                 501,
                 "refresh_unsupported",
                 "this server was started without a KB builder",
-            )
-        if not hasattr(handle, "swap"):
-            raise ServingError(
-                501,
-                "refresh_unsupported",
-                "the agent database is not behind a swappable KB handle",
             )
         with self._refresh_state_lock:
             if self._refresh_in_progress:

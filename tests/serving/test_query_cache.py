@@ -1,15 +1,17 @@
-"""QueryCache and CachingDatabase: hit/miss, TTL, LRU, invalidation."""
+"""QueryCache and CachingDatabase: hit/miss, LRU, generation coherence."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.kb import Column, Database, DataType, TableSchema
+from repro.kb.backend import KBHandle, KBSnapshot
+from repro.nlq.templates import StructuredQueryTemplate
 from repro.serving import CachingDatabase, QueryCache, make_key
 
 
-def make_db() -> Database:
-    db = Database("cachetest")
+def make_db(cls: type[Database] = Database) -> Database:
+    db = cls("cachetest")
     db.create_table(TableSchema(
         "drug",
         [Column("drug_id", DataType.INTEGER, nullable=False),
@@ -34,25 +36,16 @@ class TestKey:
 
 
 class TestQueryCache:
-    def test_miss_then_hit(self, clock):
-        cache = QueryCache(clock=clock)
+    def test_miss_then_hit(self):
+        cache = QueryCache()
         assert cache.lookup(SQL, {"id": 1}) is None
         cache.store(SQL, {"id": 1}, "result")
         assert cache.lookup(SQL, {"id": 1}) == "result"
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate() == 0.5
 
-    def test_ttl_expiry(self, clock):
-        cache = QueryCache(ttl=30.0, clock=clock)
-        cache.store(SQL, {"id": 1}, "result")
-        clock.advance(29.9)
-        assert cache.lookup(SQL, {"id": 1}) == "result"
-        clock.advance(0.2)
-        assert cache.lookup(SQL, {"id": 1}) is None
-        assert len(cache) == 0  # expired entry was dropped
-
-    def test_lru_eviction(self, clock):
-        cache = QueryCache(max_entries=2, clock=clock)
+    def test_lru_eviction(self):
+        cache = QueryCache(max_entries=2)
         cache.store(SQL, {"id": 1}, "one")
         cache.store(SQL, {"id": 2}, "two")
         assert cache.lookup(SQL, {"id": 1}) == "one"  # refresh id=1
@@ -60,22 +53,6 @@ class TestQueryCache:
         assert cache.lookup(SQL, {"id": 2}) is None  # id=2 was the LRU
         assert cache.lookup(SQL, {"id": 1}) == "one"
         assert cache.evictions == 1
-
-    def test_invalidate_one_sql(self, clock):
-        cache = QueryCache(clock=clock)
-        cache.store(SQL, {"id": 1}, "one")
-        cache.store(SQL, {"id": 2}, "two")
-        cache.store("other", None, "x")
-        assert cache.invalidate(SQL) == 2
-        assert cache.lookup("other", None) == "x"
-        assert cache.lookup(SQL, {"id": 1}) is None
-
-    def test_invalidate_all(self, clock):
-        cache = QueryCache(clock=clock)
-        cache.store(SQL, {"id": 1}, "one")
-        cache.store("other", None, "x")
-        assert cache.invalidate() == 2
-        assert len(cache) == 0
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
@@ -141,17 +118,30 @@ class TestGenerationCoherence:
         # The stale entry was dropped, not left behind.
         assert len(cache) == 0
 
-    def test_prepared_statements_share_cache_and_coherence(self):
-        inner = make_db()
-        db = CachingDatabase(inner)
-        prepared = db.prepare(SQL)
-        first = prepared.execute({"id": 1})
-        second = prepared.execute({"id": 1})
-        assert first.rows == [("Aspirin",)]
-        assert second is first  # served from the result cache
-        # query() and prepare() share one keyspace.
-        assert db.query(SQL, {"id": 1}) is first
-        # Direct table mutation invalidates prepared results too.
-        inner.table("drug").insert({"drug_id": 4, "name": "Enalapril"})
-        all_sql = "SELECT name FROM drug"
-        assert len(db.prepare(all_sql).execute().rows) == 3
+    def test_refresh_landing_mid_query_is_not_cached_as_new(self):
+        """A swap between resolving the backend and reading the
+        generation must not file the old snapshot's rows under the new
+        generation: the next turn has to see the new rows."""
+        new = make_db()
+        new.insert("drug", {"drug_id": 3, "name": "Tazarotene"})
+
+        class SwapOnFirstPrepare(Database):
+            swapped = False
+
+            def prepare(self, sql, *, use_indexes=True):
+                if not self.swapped:
+                    self.swapped = True
+                    handle.swap(KBSnapshot(new))
+                return super().prepare(sql, use_indexes=use_indexes)
+
+        handle = KBHandle(KBSnapshot(make_db(SwapOnFirstPrepare)))
+        db = CachingDatabase(handle)
+        template = StructuredQueryTemplate(
+            intent_name="all drugs", sql="SELECT name FROM drug ORDER BY name"
+        )
+        # The in-flight query finishes on the snapshot it resolved.
+        assert template.execute(db, {}).rows == [("Aspirin",), ("Ibuprofen",)]
+        assert template.execute(db, {}).rows == [
+            ("Aspirin",), ("Ibuprofen",), ("Tazarotene",)
+        ]
+        assert db.cache.stale_drops == 1

@@ -112,16 +112,31 @@ class TestRefreshContract:
         assert "kb_refresh_duration_seconds_count 1" in text
         assert "query_cache_stale_served_total 0" in text
 
-    def test_refresh_drops_stale_cache_entries(self):
-        app = ConversationApp(build_toy_agent(), kb_builder=memory_builder)
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_refresh_drops_stale_cache_entries(self, backend):
+        def changed_builder():
+            # The next snapshot really differs: a second Aspirin dosage.
+            db = make_toy_database()
+            db.insert("dosage", {
+                "d_id": 99, "drug_id": 1, "ind_id": 1,
+                "description": "75mg twice daily",
+            })
+            return wrap_database(db, backend)
+
+        app = ConversationApp(build_toy_agent(), kb_builder=changed_builder)
         ask = {"utterance": "dosage for Aspirin"}
-        app.handle("POST", "/chat", ask)
+        _, before = app.handle("POST", "/chat", ask)
         app.handle("POST", "/chat", ask)  # warm: second turn can hit cache
-        app.handle("POST", "/refresh", {})
+        assert app.cache.hits >= 1
+        assert "75mg twice daily" not in before["text"]
+        status, _ = app.handle("POST", "/refresh", {})
+        assert status == 200
         _, after = app.handle("POST", "/chat", ask)
         assert "10mg daily" in after["text"]
+        assert "75mg twice daily" in after["text"]
         # Whatever was cached against the old generation must have been
         # dropped on revalidation, never served.
+        assert app.cache.stale_drops >= 1
         assert app.cache.stale_served == 0
 
 

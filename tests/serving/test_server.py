@@ -400,3 +400,73 @@ class TestServeCommand:
         assert [type(server) for server in servers] == [
             AsyncConversationServer, AsyncConversationServer
         ]
+
+
+class StubRouter:
+    """Records what ``serve --workers N`` hands the session router."""
+
+    instances: list["StubRouter"] = []
+    address = "http://127.0.0.1:0"
+
+    def __init__(self, workers, data_dir, **kwargs):
+        self.workers = workers
+        self.data_dir = data_dir
+        self.kwargs = kwargs
+        StubRouter.instances.append(self)
+
+    def start(self):
+        pass
+
+    def shutdown(self):
+        pass
+
+
+@pytest.fixture
+def stub_router(monkeypatch):
+    StubRouter.instances = []
+    monkeypatch.setattr("repro.persistence.router.SessionRouter", StubRouter)
+    return StubRouter
+
+
+class TestServeRouterCommand:
+    FORWARDED = (
+        "space", "data", "name", "domain", "session_ttl", "max_sessions",
+        "cache_size", "turn_threads", "request_timeout", "fsync",
+        "snapshot_every", "rate_limit", "rate_burst", "accept_queue",
+    )
+
+    def test_worker_args_round_trip_through_the_parser(
+        self, stub_router, tmp_path
+    ):
+        args = build_parser().parse_args([
+            "serve", "--workers", "2", "--data-dir", str(tmp_path),
+            "--space", "space.json", "--data", "csv", "--name", "Bot",
+            "--domain", "drugs", "--kb-backend", "sqlite:kb.db",
+            "--session-ttl", "60", "--max-sessions", "10",
+            "--cache-size", "32", "--turn-threads", "4",
+            "--request-timeout", "5", "--fsync", "never",
+            "--snapshot-every", "8", "--rate-limit", "2.5",
+            "--rate-burst", "3", "--accept-queue", "9",
+        ])
+        assert cmd_serve(args, output_fn=lambda line: None,
+                         run_forever=False) == 0
+        (router,) = stub_router.instances
+        assert router.workers == 2
+        # A flag the worker's parser no longer knows exits every worker
+        # at startup; parsing here catches it first.
+        worker = build_parser().parse_args(
+            ["serve", *router.kwargs["worker_args"]]
+        )
+        for name in self.FORWARDED:
+            assert getattr(worker, name) == getattr(args, name), name
+        # Workers keep per-worker replicas: only the backend kind travels.
+        assert worker.kb_backend == "sqlite"
+
+    def test_log_with_workers_fails_fast(self, stub_router, tmp_path):
+        args = build_parser().parse_args([
+            "serve", "--workers", "2", "--data-dir", str(tmp_path),
+            "--log", str(tmp_path / "log.jsonl"),
+        ])
+        with pytest.raises(SystemExit, match="--log"):
+            cmd_serve(args, output_fn=lambda line: None, run_forever=False)
+        assert stub_router.instances == []
