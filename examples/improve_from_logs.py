@@ -54,11 +54,9 @@ def main() -> None:
     before = simulate_usage(agent, queries, seed=11)
     print(f"  accuracy before: {before.accuracy:.1%}")
 
-    # Feed the simulation's feedback marks back into the agent's own log.
-    for outcome in before.outcomes:
-        agent.feedback_log.record(outcome.record)
+    # Persist the simulation's interactions with their feedback marks.
     log_path = workdir / "interactions.jsonl"
-    save_log(agent.feedback_log, log_path)
+    save_log(before.records, log_path)
     print(f"  log persisted: {log_path}")
 
     log = load_log(log_path)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import sys
 
+from repro.engine import interaction_records
+from repro.eval.success import success_rate
 from repro.medical import build_mdx_agent
 
 CLINICAL_SESSION = [
@@ -71,7 +73,7 @@ def interactive(agent) -> None:
             continue
         response = session.ask(utterance)
         print(f"A: {response.text}")
-    rate = agent.feedback_log.success_rate()
+    rate = success_rate(interaction_records(session.id, session.transcript()))
     print(f"\nSession ended. Equation-1 success rate so far: {rate:.1%}")
 
 

@@ -30,7 +30,9 @@ Commands
     refresh to every worker replica).
 ``sessions``
     List or inspect the durable sessions in a ``serve --data-dir``
-    directory (including per-worker slices) without starting a server.
+    directory (including per-worker slices) without starting a server;
+    ``--export PATH`` writes their turns and thumbs marks as an
+    interaction log (JSON lines) for the §9 improvement loop.
 ``check``
     Statically validate the conversation-space artifacts (templates,
     logic table, dialogue tree, entities) without executing a query;
@@ -155,7 +157,9 @@ def cmd_chat(
     output_fn: Callable[[str], None] = print,
 ) -> int:
     """Interactive REPL; ``input_fn``/``output_fn`` are injectable for tests."""
+    from repro.engine.feedback import interaction_records
     from repro.engine.pipeline import render_trace
+    from repro.eval.success import success_rate
 
     output_fn("Building the conversation agent...")
     agent = _build_agent(args)
@@ -181,9 +185,10 @@ def cmd_chat(
         output_fn(f"A: {response.text}")
         if getattr(args, "trace", False) and response.trace is not None:
             output_fn(render_trace(response.trace))
+    records = interaction_records(session.id, session.transcript())
     output_fn(
         f"Session over. Equation-1 success rate: "
-        f"{agent.feedback_log.success_rate():.1%}"
+        f"{success_rate(records):.1%}"
     )
     return 0
 
@@ -352,7 +357,7 @@ def cmd_serve(
         server.shutdown()
         return 0
     server.serve_forever()
-    output_fn("Server stopped; interaction log flushed.")
+    output_fn("Server stopped.")
     return 0
 
 
@@ -374,7 +379,6 @@ def _make_server(
         cache_size=args.cache_size,
         max_workers=args.turn_threads,
         request_timeout=args.request_timeout,
-        log_path=args.log,
         data_dir=data_dir,
         fsync=args.fsync,
         snapshot_every=args.snapshot_every,
@@ -459,11 +463,6 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
         raise SystemExit(
             "--workers > 1 requires --data-dir (the durable session root)"
         )
-    if args.log:
-        raise SystemExit(
-            "--log is not supported with --workers > 1 (neither the router "
-            "nor its workers would write an interaction log)"
-        )
     worker_args = []
     if args.space:
         worker_args += ["--space", args.space]
@@ -511,7 +510,10 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
 
 
 def cmd_sessions(args: argparse.Namespace, output_fn=print) -> int:
-    """List or inspect the durable sessions under a serve data dir."""
+    """List, inspect or export the durable sessions under a serve data dir."""
+    from repro.dialogue.context import TurnRecord
+    from repro.engine.feedback import interaction_records
+    from repro.engine.logging import save_log
     from repro.persistence.recovery import inspect_session, list_session_ids
 
     root = Path(args.data_dir)
@@ -556,11 +558,16 @@ def cmd_sessions(args: argparse.Namespace, output_fn=print) -> int:
         return 1
 
     rows = []
+    records = []
     for worker, directory in slices:
         for sid in list_session_ids(directory):
             detail = inspect_session(directory, sid)
             if detail is None:
                 continue
+            records += interaction_records(
+                int(sid) if sid.isdigit() else 0,
+                [TurnRecord.from_dict(turn) for turn in detail["turns"]],
+            )
             rows.append({
                 "session_id": sid,
                 "worker": worker,
@@ -570,6 +577,11 @@ def cmd_sessions(args: argparse.Namespace, output_fn=print) -> int:
                 "journal_bytes": detail["journal_bytes"],
                 "journal_torn": detail["journal_torn"],
             })
+    if args.export:
+        count = save_log(records, args.export)
+        output_fn(f"exported {count} interactions from {len(rows)} "
+                  f"sessions to {args.export}")
+        return 0
     if args.json:
         output_fn(json.dumps(rows, indent=2))
         return 0
@@ -663,8 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--accept-queue", type=int, default=256,
                        help="max requests in flight on the front end "
                             "before shedding 503 queue_full")
-    serve.add_argument("--log", default=None,
-                       help="interaction-log path, flushed on shutdown")
     serve.add_argument("--data-dir", default=None,
                        help="durable session root: journaled turns, atomic "
                             "snapshots, crash recovery on boot")
@@ -693,10 +703,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sessions.add_argument("--data-dir", required=True,
                           help="durable session root (as passed to serve)")
-    sessions.add_argument("--session", default=None,
-                          help="show one session's committed transcript")
     sessions.add_argument("--json", action="store_true",
                           help="machine-readable output")
+    one_or_all = sessions.add_mutually_exclusive_group()
+    one_or_all.add_argument("--session", default=None,
+                            help="show one session's committed transcript")
+    one_or_all.add_argument("--export", default=None, metavar="PATH",
+                            help="write every session's turns and thumbs "
+                                 "marks as an interaction log (JSON lines)")
     sessions.set_defaults(handler=cmd_sessions)
 
     from repro.analysis.runner import (

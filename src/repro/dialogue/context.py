@@ -20,9 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class TurnRecord:
     """One completed turn: what the user said and how the agent replied.
 
-    ``trace`` carries the per-stage :class:`~repro.engine.pipeline.TurnTrace`
-    when the turn ran through the staged pipeline; it is excluded from
-    equality so transcripts compare on observable behaviour only.
+    ``feedback`` is the user's thumbs mark on the turn ("up", "down" or
+    None), the §7.2 Equation 1 input.  ``trace`` carries the per-stage
+    :class:`~repro.engine.pipeline.TurnTrace` when the turn ran through
+    the staged pipeline; it is excluded from equality so transcripts
+    compare on observable behaviour only.
     """
 
     user: str
@@ -31,12 +33,13 @@ class TurnRecord:
     confidence: float = 0.0
     entities: dict[str, str] = field(default_factory=dict)
     outcome_kind: str = ""
+    feedback: str | None = None
     trace: "TurnTrace | None" = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
         """The turn's observable behaviour (``trace`` is per-process
         telemetry, not conversation state, and is not persisted)."""
-        return {
+        data = {
             "user": self.user,
             "agent": self.agent,
             "intent": self.intent,
@@ -44,6 +47,9 @@ class TurnRecord:
             "entities": dict(self.entities),
             "outcome_kind": self.outcome_kind,
         }
+        if self.feedback is not None:
+            data["feedback"] = self.feedback
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TurnRecord":
@@ -54,6 +60,7 @@ class TurnRecord:
             confidence=data.get("confidence", 0.0),
             entities=dict(data.get("entities") or {}),
             outcome_kind=data.get("outcome_kind", ""),
+            feedback=data.get("feedback"),
         )
 
 
@@ -125,6 +132,14 @@ class ConversationContext:
 
     def last_turn(self) -> TurnRecord | None:
         return self.history[-1] if self.history else None
+
+    def mark_last_turn(self, feedback: str) -> None:
+        """Attach thumbs feedback ("up"/"down") to the most recent turn."""
+        if feedback not in ("up", "down"):
+            raise ValueError("feedback must be 'up' or 'down'")
+        if not self.history:
+            raise ValueError("no interaction to mark")
+        self.history[-1].feedback = feedback
 
     @property
     def last_trace(self) -> "TurnTrace | None":

@@ -11,7 +11,7 @@ turn.
 """
 
 from repro.engine.agent import AgentResponse, ConversationAgent, Session
-from repro.engine.feedback import FeedbackLog, InteractionRecord
+from repro.engine.feedback import InteractionRecord, interaction_records
 from repro.engine.kinds import ResponseKind, validate_kind
 from repro.engine.logging import (
     load_log,
@@ -34,7 +34,6 @@ __all__ = [
     "AgentResponse",
     "ConversationAgent",
     "EntityRecognizer",
-    "FeedbackLog",
     "InteractionRecord",
     "RecognitionResult",
     "ResponseKind",
@@ -45,6 +44,7 @@ __all__ = [
     "TurnState",
     "TurnTrace",
     "default_stages",
+    "interaction_records",
     "load_log",
     "mine_negative_interactions",
     "render_trace",

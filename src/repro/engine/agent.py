@@ -35,7 +35,6 @@ from repro.dialogue.tree import (
     DialogueTree,
     build_dialogue_tree,
 )
-from repro.engine.feedback import FeedbackLog, InteractionRecord
 from repro.engine.kinds import ResponseKind
 from repro.engine.pipeline import AgentResponse, TurnPipeline, TurnTrace
 from repro.engine.recognizer import EntityRecognizer
@@ -140,12 +139,11 @@ class ConversationAgent:
         self.glossary = {k.lower(): v for k, v in glossary.items()}
         self.agent_name = agent_name
         self.domain = domain
-        self.feedback_log = FeedbackLog()
         self.pipeline = TurnPipeline(default_stages(self), clock=clock)
         # Session ids are allocated under the allocator's lock: concurrent
         # requests on the serving layer open sessions from many threads at
-        # once, and two sessions sharing an id would cross their feedback
-        # records.  The durable serving layer swaps in an allocator that
+        # once, and two sessions sharing an id would cross their durable
+        # state.  The durable serving layer swaps in an allocator that
         # persists its high-water mark so ids survive restarts.
         self.id_allocator = SessionIdAllocator()
 
@@ -288,7 +286,7 @@ class Session:
         utterance: str,
         chunk_sink: Callable[[str, dict], None] | None = None,
     ) -> AgentResponse:
-        """Process one user utterance and log the interaction."""
+        """Process one user utterance and record the turn."""
         if not utterance or not utterance.strip():
             raise EngineError("utterance must be non-empty")
         response = self.agent.respond(utterance, self.context, chunk_sink)
@@ -303,23 +301,13 @@ class Session:
                 trace=response.trace,
             )
         )
-        self.agent.feedback_log.record(
-            InteractionRecord(
-                utterance=utterance,
-                response=response.text,
-                intent=response.intent,
-                confidence=response.confidence,
-                outcome_kind=response.kind,
-                session_id=self.id,
-            )
-        )
         return response
 
     def thumbs_up(self) -> None:
-        self.agent.feedback_log.mark_last_for_session(self.id, "up")
+        self.context.mark_last_turn("up")
 
     def thumbs_down(self) -> None:
-        self.agent.feedback_log.mark_last_for_session(self.id, "down")
+        self.context.mark_last_turn("down")
 
     def transcript(self) -> list[TurnRecord]:
         return list(self.context.history)

@@ -4,8 +4,9 @@
 the system usage logs, and using that as a feedback to further improve
 the system".  This module implements that loop:
 
-* :func:`save_log` / :func:`load_log` persist the interaction log as
-  JSON lines (the raw material of the §7 analyses),
+* :func:`save_log` / :func:`load_log` persist interaction records as
+  JSON lines (the raw material of the §7 analyses; ``repro sessions
+  --export`` writes them from a data dir's session journals),
 * :func:`mine_negative_interactions` clusters the negatively-marked
   utterances for SME review,
 * :func:`harvest_training_candidates` turns reviewed log entries into
@@ -20,39 +21,28 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from repro.bootstrap.space import ConversationSpace
-from repro.engine.feedback import FeedbackLog, InteractionRecord
+from repro.engine.feedback import InteractionRecord
 from repro.errors import EngineError
 
 
-def save_log(log: FeedbackLog, path: str | Path) -> int:
-    """Write the log as JSON lines; returns the number of records.
+def save_log(records: list[InteractionRecord], path: str | Path) -> int:
+    """Write ``records`` as JSON lines; returns the number written.
 
     The write is atomic (temp file in the same directory, then
     ``os.replace``): a crash mid-write leaves the previous log intact
-    instead of a truncated file — required now that the serving layer
-    flushes the log on shutdown.
+    instead of a truncated file.
     """
     path = Path(path)
-    records = log.records()
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             for record in records:
-                handle.write(json.dumps({
-                    "utterance": record.utterance,
-                    "response": record.response,
-                    "intent": record.intent,
-                    "confidence": record.confidence,
-                    "outcome_kind": record.outcome_kind,
-                    "feedback": record.feedback,
-                    "session_id": record.session_id,
-                    "sme_label": record.sme_label,
-                }) + "\n")
+                handle.write(json.dumps(asdict(record)) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -65,9 +55,9 @@ def save_log(log: FeedbackLog, path: str | Path) -> int:
     return len(records)
 
 
-def load_log(path: str | Path) -> FeedbackLog:
+def load_log(path: str | Path) -> list[InteractionRecord]:
     """Read a JSON-lines log written by :func:`save_log`."""
-    log = FeedbackLog()
+    records: list[InteractionRecord] = []
     try:
         with open(path, encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
@@ -80,7 +70,7 @@ def load_log(path: str | Path) -> FeedbackLog:
                     raise EngineError(
                         f"{path}: line {line_number} is not valid JSON"
                     ) from exc
-                log.record(InteractionRecord(
+                records.append(InteractionRecord(
                     utterance=data["utterance"],
                     response=data.get("response", ""),
                     intent=data.get("intent"),
@@ -92,7 +82,7 @@ def load_log(path: str | Path) -> FeedbackLog:
                 ))
     except FileNotFoundError as exc:
         raise EngineError(f"log file not found: {path}") from exc
-    return log
+    return records
 
 
 @dataclass
@@ -109,7 +99,7 @@ class NegativeCluster:
 
 
 def mine_negative_interactions(
-    log: FeedbackLog, include_sme: bool = True
+    records: list[InteractionRecord], include_sme: bool = True
 ) -> list[NegativeCluster]:
     """Group negative interactions by intent, largest cluster first.
 
@@ -117,7 +107,7 @@ def mine_negative_interactions(
     synonyms the training data is missing.
     """
     clusters: dict[str, NegativeCluster] = {}
-    for record in log:
+    for record in records:
         negative = record.feedback == "down" or (
             include_sme and record.sme_label == "negative"
         )
@@ -131,7 +121,7 @@ def mine_negative_interactions(
 
 
 def harvest_training_candidates(
-    log: FeedbackLog,
+    records: list[InteractionRecord],
     space: ConversationSpace,
     min_confidence: float = 0.6,
 ) -> list[tuple[str, str]]:
@@ -149,7 +139,7 @@ def harvest_training_candidates(
     known_intents = {i.name for i in space.intents}
     candidates: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for record in log:
+    for record in records:
         if record.feedback == "down" or record.sme_label == "negative":
             continue
         if record.outcome_kind != "answer":
@@ -167,7 +157,7 @@ def harvest_training_candidates(
 
 
 def retrain_from_log(
-    log: FeedbackLog,
+    records: list[InteractionRecord],
     space: ConversationSpace,
     min_confidence: float = 0.6,
     limit: int | None = None,
@@ -177,7 +167,7 @@ def retrain_from_log(
     Returns how many examples were added.  The caller re-trains the
     classifier (e.g. rebuilds the agent) afterwards.
     """
-    candidates = harvest_training_candidates(log, space, min_confidence)
+    candidates = harvest_training_candidates(records, space, min_confidence)
     if limit is not None:
         candidates = candidates[:limit]
     for utterance, intent in candidates:

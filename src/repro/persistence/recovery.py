@@ -5,9 +5,9 @@ same context and the same trained artifacts yields byte-identical
 output — so a session is fully described by its snapshot (context as of
 turn *T*) plus the journaled utterances after *T*.  Recovery restores
 the snapshot and replays the suffix through the real
-:class:`~repro.engine.pipeline.TurnPipeline` (``Session.ask``), which
-also re-registers the replayed interactions in the agent's feedback log
-so post-recovery thumbs feedback keeps working.
+:class:`~repro.engine.pipeline.TurnPipeline` (``Session.ask``).  Thumbs
+feedback records carry no utterance: each re-applies its mark to the
+turn it names, which may be one the snapshot already covers.
 
 Every replayed turn's regenerated response is compared against the
 journaled response text; a divergence (an agent rebuilt from different
@@ -101,8 +101,9 @@ def recover_session(
     """Rebuild one session from its durable state; None when absent.
 
     Restores the snapshot when one loads cleanly, then replays every
-    journal record past the snapshot's turn count through the real
-    pipeline.  A torn journal tail recovers to the last complete turn.
+    journal turn past the snapshot's turn count through the real
+    pipeline and re-applies every feedback mark.  A torn journal tail
+    recovers to the last complete record.
     """
     from repro.engine.agent import Session
 
@@ -124,6 +125,11 @@ def recover_session(
     replayed = mismatches = 0
     for record in journal.records:
         turn = int(record.get("turn", 0))
+        if record.get("type") == "feedback":
+            history = session.context.history
+            if 1 <= turn <= len(history):
+                history[turn - 1].feedback = record.get("feedback")
+            continue
         if turn <= covered:
             continue
         utterance = record.get("utterance")
@@ -206,9 +212,10 @@ def inspect_session(data_dir: str | Path, sid: str) -> dict[str, Any] | None:
     """Read-only view of one session's durable state (no agent needed).
 
     Merges the snapshot's transcript with the journal suffix; journal
-    records past the snapshot contribute their *journaled* responses
-    (what the user actually saw), so the view reflects committed
-    history, not a replay.
+    turns past the snapshot contribute their *journaled* responses
+    (what the user actually saw), and journaled feedback marks land on
+    the turn they name, so the view reflects committed history, not a
+    replay.
     """
     snap = load_snapshot(snapshot_path(data_dir, sid))
     journal = read_journal(journal_path(data_dir, sid))
@@ -222,6 +229,10 @@ def inspect_session(data_dir: str | Path, sid: str) -> dict[str, Any] | None:
     journal_suffix = 0
     for record in journal.records:
         turn = int(record.get("turn", 0))
+        if record.get("type") == "feedback":
+            if 1 <= turn <= len(turns):
+                turns[turn - 1]["feedback"] = record.get("feedback")
+            continue
         if turn <= covered:
             continue
         response = record.get("response") or {}

@@ -8,6 +8,7 @@ directory::
       session_ids.json      allocator high-water mark (atomic rewrite)
       sessions/
         <sid>.journal       framed JSONL, one record per committed turn
+                            or thumbs mark
         <sid>.snapshot      atomic context snapshot (compaction point)
 
 Life of a turn: the serving layer runs the pipeline under the session's
@@ -16,7 +17,10 @@ the configured fsync policy) *is* the commit; only afterwards does the
 HTTP response leave the process, so a ``kill -9`` never loses a turn a
 client saw acknowledged.  Every ``snapshot_every`` journaled records
 the session's context is snapshotted and the journal compacted down to
-the suffix a recovery would still replay.
+the suffix a recovery would still replay.  Thumbs feedback commits the
+same way through :meth:`commit_feedback` (one journal record under the
+entry lock before the reply); it does not count toward
+``snapshot_every``.
 
 Eviction (TTL idle, LRU pressure, explicit drop) snapshots-then-drops
 via the inner store's ``on_evict`` hook, turning the bounded working
@@ -309,6 +313,20 @@ class DurableSessionStore:
             self._since_snapshot[sid] = pending
         if pending >= self.snapshot_every:
             self._snapshot(sid, entry)
+
+    def commit_feedback(self, sid: str, entry: SessionEntry) -> None:  # locks: SessionEntry.lock
+        """Make the thumbs mark on the session's last turn durable
+        (called under the entry lock, after the mark is applied)."""
+        context = entry.session.context
+        journal = self._journal_for(sid)
+        fsyncs_before = journal.fsync_count()
+        written = journal.append({
+            "type": "feedback",
+            "turn": context.turn_count,
+            "feedback": context.history[-1].feedback,
+        })
+        self._count("journal_bytes_total", written)
+        self._count("journal_fsyncs_total", journal.fsync_count() - fsyncs_before)
 
     def _snapshot(self, sid: str, entry: SessionEntry) -> None:  # locks: SessionEntry.lock
         """Snapshot the context and compact the journal (entry lock held

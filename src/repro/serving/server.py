@@ -26,7 +26,8 @@ Endpoints
     running the turn twice.
 ``POST /feedback``
     ``{"session_id": ..., "feedback": "up"|"down"}`` → thumbs feedback
-    on that session's most recent interaction (Equation 1 input).
+    on that session's most recent turn (Equation 1 input), stored on
+    the turn record and, in durable mode, journaled before the reply.
 ``POST /refresh``
     Build, validate and atomically swap in the next KB snapshot.
 ``GET /healthz``
@@ -45,8 +46,8 @@ Concurrency model: agent turns execute on a bounded
 ``ThreadPoolExecutor`` and the slot gate (``max_pending``) is the
 admission control.  Each turn carries a timeout (504 on expiry) and the
 app sheds load with 503 once ``max_pending`` turns are in flight.
-``close()`` drains: new chat turns are refused, in-flight turns
-finish, then the interaction log is flushed atomically.
+``close()`` drains: new chat turns are refused, then in-flight turns
+finish.
 
 Durability: constructed with a ``data_dir`` the app replaces its
 in-memory session store with a
@@ -69,7 +70,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.agent import ConversationAgent
 from repro.engine.kinds import ResponseKind
-from repro.engine.logging import save_log
 from repro.errors import EngineError
 from repro.serving.frontend import ServingError
 from repro.serving.metrics import MetricsRegistry
@@ -153,7 +153,6 @@ class ConversationApp:
         max_workers: int = 16,
         max_pending: int = 128,
         request_timeout: float = 30.0,
-        log_path: str | Path | None = None,
         data_dir: str | Path | None = None,
         fsync: str = "always",
         snapshot_every: int = 64,
@@ -201,7 +200,6 @@ class ConversationApp:
         self.cache = QueryCache(max_entries=cache_size)
         self.request_timeout = request_timeout
         self.max_pending = max_pending
-        self.log_path = Path(log_path) if log_path is not None else None
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-turn"
         )
@@ -376,7 +374,7 @@ class ConversationApp:
         return self.in_flight == 0
 
     def close(self, drain_timeout: float = 10.0) -> bool:
-        """Drain, stop workers, flush the log, restore the agent hooks.
+        """Drain, stop workers, restore the agent hooks.
 
         In durable mode every live session is snapshotted on the way
         out, so a clean restart recovers with zero journal replay.
@@ -387,14 +385,7 @@ class ConversationApp:
         self.agent.classifier = self._original_classifier
         if self.durable is not None:
             self.durable.close()
-        self.flush_log()
         return drained
-
-    def flush_log(self) -> int:
-        """Write the interaction log (atomic replace); records written."""
-        if self.log_path is None:
-            return 0
-        return save_log(self.agent.feedback_log, self.log_path)
 
     # -- request handling ----------------------------------------------------
 
@@ -658,20 +649,22 @@ class ConversationApp:
                 "bad_request",
                 "'session_id' and 'feedback' ('up'|'down') are required",
             )
-        entry = self.sessions.get(str(session_id))
+        sid = str(session_id)
+        entry = self.sessions.get(sid)
         if entry is None:
             raise ServingError(
-                404, "unknown_session", f"session {session_id} does not exist"
+                404, "unknown_session", f"session {sid} does not exist"
             )
         with entry.lock:
             try:
-                self.agent.feedback_log.mark_last_for_session(
-                    entry.session.id, feedback
-                )
+                entry.session.context.mark_last_turn(feedback)
             except ValueError as exc:
                 raise ServingError(409, "no_interaction", str(exc)) from exc
+            # Committed like a turn: journaled before the reply.
+            if self.durable is not None:
+                self.durable.commit_feedback(sid, entry)
         self.metrics.counter("feedback_total", ("feedback", feedback)).inc()
-        return {"session_id": str(session_id), "feedback": feedback}
+        return {"session_id": sid, "feedback": feedback}
 
     def refresh_kb(self, payload: dict | None = None) -> dict:
         """Build, validate and atomically swap in the next KB snapshot.

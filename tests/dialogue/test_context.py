@@ -65,6 +65,21 @@ class TestHistory:
         assert ctx.last_turn() is None
         assert ctx.turn_count == 0
 
+    def test_mark_last_turn(self):
+        ctx = ConversationContext()
+        ctx.record_turn(TurnRecord(user="a", agent="b"))
+        ctx.record_turn(TurnRecord(user="c", agent="d"))
+        ctx.mark_last_turn("down")
+        assert [t.feedback for t in ctx.history] == [None, "down"]
+
+    def test_feedback_serialized_only_when_set(self):
+        unmarked = TurnRecord(user="a", agent="b")
+        assert "feedback" not in unmarked.to_dict()
+        marked = TurnRecord(user="a", agent="b", feedback="up")
+        assert marked.to_dict()["feedback"] == "up"
+        assert TurnRecord.from_dict(marked.to_dict()) == marked
+        assert TurnRecord.from_dict(unmarked.to_dict()).feedback is None
+
 
 class TestLifecycle:
     def test_reset_clears_state_but_keeps_history(self):

@@ -1,5 +1,8 @@
 """Tests for the online conversation agent over the toy KB."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.errors import EngineError
@@ -170,12 +173,39 @@ class TestMisspellings:
 
 class TestFeedback:
     def test_thumbs_recorded(self, toy_agent):
-        log_before = len(toy_agent.feedback_log)
         session = toy_agent.session()
         session.ask("precaution for Aspirin")
         session.thumbs_up()
-        assert len(toy_agent.feedback_log) == log_before + 1
-        assert toy_agent.feedback_log.records()[-1].feedback == "up"
+        assert [t.feedback for t in session.transcript()] == ["up"]
 
     def test_sessions_have_distinct_ids(self, toy_agent):
         assert toy_agent.session().id != toy_agent.session().id
+
+
+class TestMemory:
+    SCRIPT = [
+        "precaution for Aspirin", "what is the dosage", "Ibuprofen",
+        "how about for Aspirin?",
+    ]
+
+    def _run(self, agent, sessions: int) -> None:
+        for _ in range(sessions):
+            session = agent.session()
+            for utterance in self.SCRIPT:
+                session.ask(utterance)
+            session.thumbs_down()
+
+    def test_dropped_sessions_retain_nothing_per_turn(self, toy_agent):
+        # Warm up first so plan caches and memos are already populated.
+        self._run(toy_agent, 50)
+        gc.collect()
+        sessions = 500
+        tracemalloc.start()
+        try:
+            self._run(toy_agent, sessions)
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        turns = sessions * len(self.SCRIPT)
+        assert retained / turns < 50, f"{retained / turns:.0f} B per turn"

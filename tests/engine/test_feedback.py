@@ -1,62 +1,73 @@
-"""Tests for the feedback log (§7.2)."""
+"""Tests for thumbs feedback on turn records (§7.2)."""
 
 import pytest
 
-from repro.engine.feedback import FeedbackLog, InteractionRecord
+from repro.dialogue.context import TurnRecord
+from repro.engine.feedback import interaction_records
+from repro.eval.success import per_intent_success, success_rate
 
 
-def record(intent="A", feedback=None) -> InteractionRecord:
-    return InteractionRecord(
-        utterance="u", response="r", intent=intent, confidence=0.9,
+def turn(intent="A", feedback=None) -> TurnRecord:
+    return TurnRecord(
+        user="u", agent="r", intent=intent, confidence=0.9,
         outcome_kind="answer", feedback=feedback,
     )
 
 
 class TestLog:
-    def test_append_and_len(self):
-        log = FeedbackLog()
-        log.record(record())
-        assert len(log) == 1
-        assert list(log)[0].intent == "A"
+    """A session's transcript is its interaction log."""
 
-    def test_mark_last(self):
-        log = FeedbackLog()
-        log.record(record())
-        log.mark_last("down")
-        assert log.records()[0].feedback == "down"
+    def test_append_and_len(self, toy_agent):
+        session = toy_agent.session()
+        session.ask("precaution for Aspirin")
+        session.ask("dosage for Ibuprofen")
+        records = interaction_records(session.id, session.transcript())
+        assert len(records) == 2
+        assert [r.utterance for r in records] == [
+            "precaution for Aspirin", "dosage for Ibuprofen",
+        ]
+        assert {r.session_id for r in records} == {session.id}
 
-    def test_mark_last_requires_record(self):
+    def test_mark_last(self, toy_agent):
+        session = toy_agent.session()
+        session.ask("precaution for Aspirin")
+        session.ask("dosage for Ibuprofen")
+        session.thumbs_down()
+        assert [t.feedback for t in session.transcript()] == [None, "down"]
+        records = interaction_records(session.id, session.transcript())
+        assert records[-1].feedback == "down"
+
+    def test_mark_last_requires_record(self, toy_agent):
+        with pytest.raises(ValueError, match="no interaction"):
+            toy_agent.session().thumbs_down()
+
+    def test_mark_last_validates_value(self, toy_agent):
+        session = toy_agent.session()
+        session.ask("precaution for Aspirin")
         with pytest.raises(ValueError):
-            FeedbackLog().mark_last("down")
-
-    def test_mark_last_validates_value(self):
-        log = FeedbackLog()
-        log.record(record())
-        with pytest.raises(ValueError):
-            log.mark_last("sideways")
+            session.context.mark_last_turn("sideways")
+        assert session.transcript()[-1].feedback is None
 
 
 class TestEquationOne:
+    """Equation 1 over the records a transcript converts to."""
+
     def test_empty_log_is_perfect(self):
-        assert FeedbackLog().success_rate() == 1.0
+        assert success_rate(interaction_records(1, [])) == 1.0
 
     def test_success_rate(self):
-        log = FeedbackLog()
-        for feedback in (None, None, "down", "up"):
-            log.record(record(feedback=feedback))
-        assert log.negative_count() == 1
-        assert log.success_rate() == 0.75
+        history = [turn(feedback=f) for f in (None, None, "down", "up")]
+        assert success_rate(interaction_records(1, history)) == 0.75
 
     def test_per_intent(self):
-        log = FeedbackLog()
-        log.record(record(intent="A"))
-        log.record(record(intent="A", feedback="down"))
-        log.record(record(intent="B"))
-        per_intent = log.per_intent()
+        history = [turn("A"), turn("A", feedback="down"), turn("B")]
+        per_intent = {
+            s.intent: (s.interactions, s.negative)
+            for s in per_intent_success(interaction_records(1, history))
+        }
         assert per_intent["A"] == (2, 1)
         assert per_intent["B"] == (1, 0)
 
     def test_intentless_records_grouped(self):
-        log = FeedbackLog()
-        log.record(record(intent=None))
-        assert "<none>" in log.per_intent()
+        records = interaction_records(1, [turn(intent=None)])
+        assert [s.intent for s in per_intent_success(records)] == ["<none>"]

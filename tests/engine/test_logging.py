@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import (
-    FeedbackLog,
     InteractionRecord,
     load_log,
     mine_negative_interactions,
@@ -12,6 +11,7 @@ from repro.engine import (
 )
 from repro.engine.logging import harvest_training_candidates
 from repro.errors import EngineError
+from repro.eval.success import success_rate
 
 
 def record(utterance="u", intent="A", feedback=None, kind="answer",
@@ -24,13 +24,13 @@ def record(utterance="u", intent="A", feedback=None, kind="answer",
 
 
 @pytest.fixture
-def log() -> FeedbackLog:
-    feedback_log = FeedbackLog()
-    feedback_log.record(record("good one", "A"))
-    feedback_log.record(record("bad one", "A", feedback="down", kind="fallback"))
-    feedback_log.record(record("sme bad", "B", sme="negative"))
-    feedback_log.record(record("good two", "B", confidence=0.8))
-    return feedback_log
+def log() -> list[InteractionRecord]:
+    return [
+        record("good one", "A"),
+        record("bad one", "A", feedback="down", kind="fallback"),
+        record("sme bad", "B", sme="negative"),
+        record("good two", "B", confidence=0.8),
+    ]
 
 
 class TestPersistence:
@@ -40,9 +40,10 @@ class TestPersistence:
         assert count == 4
         restored = load_log(path)
         assert len(restored) == 4
-        assert restored.records()[1].feedback == "down"
-        assert restored.records()[2].sme_label == "negative"
-        assert restored.success_rate() == log.success_rate()
+        assert restored == log
+        assert restored[1].feedback == "down"
+        assert restored[2].sme_label == "negative"
+        assert success_rate(restored) == success_rate(log)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(EngineError, match="not found"):
@@ -72,18 +73,16 @@ class TestMining:
         assert [c.intent for c in clusters] == ["A"]
 
     def test_largest_cluster_first(self):
-        feedback_log = FeedbackLog()
-        for _ in range(3):
-            feedback_log.record(record("x", "B", feedback="down"))
-        feedback_log.record(record("y", "A", feedback="down"))
-        clusters = mine_negative_interactions(feedback_log)
+        records = [record("x", "B", feedback="down")] * 3
+        records.append(record("y", "A", feedback="down"))
+        clusters = mine_negative_interactions(records)
         assert clusters[0].intent == "B"
         assert clusters[0].size == 3
 
 
 class TestHarvest:
     def test_only_confident_positive_answers(self, log, toy_space):
-        log.record(record(
+        log.append(record(
             "tell me precaution info for Tazarotene",
             "Precaution of Drug", confidence=0.95,
         ))
@@ -93,23 +92,17 @@ class TestHarvest:
         ]
 
     def test_negative_and_low_confidence_excluded(self, toy_space):
-        feedback_log = FeedbackLog()
-        feedback_log.record(record(
-            "down one", "Precaution of Drug", feedback="down"
-        ))
-        feedback_log.record(record(
-            "weak one", "Precaution of Drug", confidence=0.3
-        ))
-        feedback_log.record(record(
-            "wrong kind", "Precaution of Drug", kind="elicit"
-        ))
-        assert harvest_training_candidates(feedback_log, toy_space) == []
+        records = [
+            record("down one", "Precaution of Drug", feedback="down"),
+            record("weak one", "Precaution of Drug", confidence=0.3),
+            record("wrong kind", "Precaution of Drug", kind="elicit"),
+        ]
+        assert harvest_training_candidates(records, toy_space) == []
 
     def test_existing_examples_not_duplicated(self, toy_space):
-        feedback_log = FeedbackLog()
         known = toy_space.training_examples[0]
-        feedback_log.record(record(known.utterance, known.intent))
-        assert harvest_training_candidates(feedback_log, toy_space) == []
+        records = [record(known.utterance, known.intent)]
+        assert harvest_training_candidates(records, toy_space) == []
 
 
 class TestRetrainLoop:
@@ -125,12 +118,11 @@ class TestRetrainLoop:
             f"anything to watch out for with {drug}"
             for drug in ("Aspirin", "Ibuprofen", "Tazarotene", "Benazepril")
         ]
-        feedback_log = FeedbackLog()
-        for phrasing in phrasings:
-            feedback_log.record(record(
-                phrasing, "Precaution of Drug", confidence=0.9
-            ))
-        added = retrain_from_log(feedback_log, space)
+        records = [
+            record(phrasing, "Precaution of Drug", confidence=0.9)
+            for phrasing in phrasings
+        ]
+        added = retrain_from_log(records, space)
         assert added == len(phrasings)
         classifier = space.train_classifier()
         prediction = classifier.classify(
@@ -144,8 +136,6 @@ def test_retrain_limit(toy_ontology, toy_db):
     space = bootstrap_conversation_space(
         toy_ontology, toy_db, key_concepts=["Drug"]
     )
-    feedback_log = FeedbackLog()
-    for i in range(5):
-        feedback_log.record(record(f"phrase {i}", "Precaution of Drug"))
-    added = retrain_from_log(feedback_log, space, limit=2)
+    records = [record(f"phrase {i}", "Precaution of Drug") for i in range(5)]
+    added = retrain_from_log(records, space, limit=2)
     assert added == 2

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, cmd_chat, cmd_export, main
+from repro.cli import build_parser, cmd_chat, cmd_export, cmd_sessions, main
+from repro.engine import load_log
+from repro.persistence.router import worker_dir
+from repro.serving.server import ConversationApp
+from tests.serving.conftest import build_toy_agent
 
 
 class TestParser:
@@ -53,7 +57,10 @@ class TestExportAndChatRoundTrip:
             "--data", str(out / "kb"),
             "--name", "Micromedex", "--domain", "drug reference",
         ])
-        script = iter(["adverse effects of aspirin", "+1", "quit"])
+        script = iter([
+            "adverse effects of aspirin", "+1",
+            "adverse effects of aspirin", "-1", "quit",
+        ])
         transcript = []
         code = cmd_chat(
             chat_args,
@@ -64,6 +71,8 @@ class TestExportAndChatRoundTrip:
         answers = [t for t in transcript if t.startswith("A: Here are the")]
         assert answers
         assert "Aspirin" in answers[0]
+        # Equation 1 over the session's own turns: 1 of 2 marked down.
+        assert transcript[-1] == "Session over. Equation-1 success rate: 50.0%"
 
     def test_chat_trace_prints_stage_breakdown(self, tmp_path):
         out = tmp_path / "artifacts"
@@ -93,6 +102,61 @@ class TestExportAndChatRoundTrip:
         args = build_parser().parse_args(["chat", "--space", "x.json"])
         with pytest.raises(SystemExit):
             cmd_chat(args, input_fn=lambda _p: "quit", output_fn=lambda _l: None)
+
+
+class TestSessionsExport:
+    def test_export_round_trips_router_layout(self, tmp_path):
+        # Two worker slices, each owning its residue class of ids.
+        expected, apps = [], []
+        for index in range(2):
+            app = ConversationApp(
+                build_toy_agent(), data_dir=worker_dir(tmp_path, index),
+                fsync="never", id_stride=2, id_offset=index,
+            )
+            sid = None
+            for drug, mark in (("Aspirin", "down"), ("Ibuprofen", None)):
+                utterance = f"dosage for {drug}"
+                payload = {"utterance": utterance}
+                if sid is not None:
+                    payload["session_id"] = sid
+                _status, body = app.handle("POST", "/chat", payload)
+                sid = body["session_id"]
+                if mark is not None:
+                    status, _body = app.handle("POST", "/feedback", {
+                        "session_id": sid, "feedback": mark,
+                    })
+                    assert status == 200
+                expected.append((int(sid), utterance, body["text"], mark))
+            apps.append(app)
+
+        def export() -> list[tuple]:
+            out = tmp_path / "interactions.jsonl"
+            lines = []
+            args = build_parser().parse_args([
+                "sessions", "--data-dir", str(tmp_path), "--export", str(out),
+            ])
+            assert cmd_sessions(args, output_fn=lines.append) == 0
+            assert lines == [
+                f"exported 4 interactions from 2 sessions to {out}"
+            ]
+            return sorted(
+                (r.session_id, r.utterance, r.response, r.feedback)
+                for r in load_log(out)
+            )
+
+        # Live workers: turns and marks are journal records only.
+        assert export() == sorted(expected)
+        for app in apps:
+            app.close()
+        # After a clean shutdown they are snapshots.
+        assert export() == sorted(expected)
+
+    def test_export_excludes_session(self, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "sessions", "--data-dir", str(tmp_path),
+                "--session", "1", "--export", str(tmp_path / "x.jsonl"),
+            ])
 
 
 def test_main_dispatches(tmp_path):

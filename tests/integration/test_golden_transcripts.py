@@ -57,13 +57,6 @@ CONVERSATIONS: dict[str, list[str]] = {
 }
 
 
-def _last_feedback_for(agent, session_id: int) -> str | None:
-    for record in reversed(agent.feedback_log.records()):
-        if record.session_id == session_id:
-            return record.feedback
-    return None
-
-
 def play(agent, steps: list[str]) -> dict:
     """Run one conversation and capture everything a user could observe."""
     session = agent.session()
@@ -76,7 +69,7 @@ def play(agent, steps: list[str]) -> dict:
                 session.thumbs_down()
             transcript["turns"].append({
                 "user": step,
-                "feedback": _last_feedback_for(agent, session.id),
+                "feedback": session.transcript()[-1].feedback,
             })
             continue
         response = session.ask(step)

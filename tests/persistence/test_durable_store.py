@@ -203,6 +203,45 @@ class TestIdempotentRetries:
         app2.close()
 
 
+class TestFeedbackDurability:
+    def test_feedback_after_clean_restart(self, tmp_path):
+        app = ConversationApp(build_toy_agent(), data_dir=tmp_path,
+                              fsync="never")
+        _status, first = app.handle("POST", "/chat", {
+            "utterance": "dosage for Aspirin",
+        })
+        sid = first["session_id"]
+        status, _body = app.handle("POST", "/feedback", {
+            "session_id": sid, "feedback": "down",
+        })
+        assert status == 200
+        app.close()
+        app2 = ConversationApp(build_toy_agent(), data_dir=tmp_path,
+                               fsync="never")
+        status, detail = app2.handle("GET", f"/session?session_id={sid}", {})
+        assert status == 200
+        assert [t.get("feedback") for t in detail["turns"]] == ["down"]
+        status, body = app2.handle("POST", "/feedback", {
+            "session_id": sid, "feedback": "up",
+        })
+        assert status == 200, body
+        status, detail = app2.handle("GET", f"/session?session_id={sid}", {})
+        assert status == 200
+        assert [t.get("feedback") for t in detail["turns"]] == ["up"]
+        app2.close()
+
+    def test_feedback_on_session_without_turns_is_409(self, tmp_path, agent):
+        app = ConversationApp(agent, data_dir=tmp_path, fsync="never")
+        sid, _entry = app.sessions.create()
+        status, body = app.handle("POST", "/feedback", {
+            "session_id": sid, "feedback": "down",
+        })
+        assert status == 409
+        assert body["error"] == "no_interaction"
+        assert not journal_path(tmp_path, sid).exists()
+        app.close()
+
+
 class TestValidation:
     def test_bad_fsync_policy_rejected(self, tmp_path, agent):
         from repro.errors import JournalError

@@ -120,6 +120,81 @@ class TestByteIdenticalRecovery:
         assert recovered.mismatches == 1
 
 
+def _commit_turn(store, sid, entry, utterance: str) -> None:
+    with entry.lock:
+        response = entry.session.ask(utterance)
+        entry.turn_count += 1
+        store.commit_turn(sid, entry, utterance, {
+            "session_id": sid, "text": response.text,
+            "intent": response.intent, "confidence": response.confidence,
+            "kind": response.kind, "entities": dict(response.entities),
+            "sql": response.sql, "turn": entry.turn_count,
+        })
+
+
+def _commit_mark(store, sid, entry, feedback: str) -> None:
+    with entry.lock:
+        entry.session.context.mark_last_turn(feedback)
+        store.commit_feedback(sid, entry)
+
+
+class TestFeedbackRecords:
+    def test_mark_after_snapshot_applies_to_covered_turn(self, tmp_path):
+        store = DurableSessionStore(
+            build_toy_agent(), tmp_path, fsync="never", snapshot_every=2
+        )
+        sid, entry = store.create()
+        for utterance in GOLDEN_SCRIPT[:2]:
+            _commit_turn(store, sid, entry, utterance)
+        # Turns 1–2 are in the snapshot; the mark on turn 2 lands after
+        # it, so its turn is one the snapshot already covers.
+        _commit_mark(store, sid, entry, "down")
+        records = read_journal(journal_path(tmp_path, sid)).records
+        assert records == [{"type": "feedback", "turn": 2, "feedback": "down"}]
+        # Crash; the mark is re-applied to the snapshot's history.
+        recovered = recover_session(build_toy_agent(), tmp_path, sid)
+        assert recovered.source == "snapshot"
+        assert recovered.replayed == 0
+        history = recovered.session.context.history
+        assert [t.feedback for t in history] == [None, "down"]
+        detail = inspect_session(tmp_path, sid)
+        assert detail["turn_count"] == 2
+        assert detail["journal_suffix"] == 0
+        assert [t.get("feedback") for t in detail["turns"]] == [None, "down"]
+
+    def test_mark_in_journal_suffix_survives_crash(self, tmp_path):
+        store = DurableSessionStore(build_toy_agent(), tmp_path, fsync="never")
+        sid, entry = store.create()
+        _commit_turn(store, sid, entry, GOLDEN_SCRIPT[0])
+        _commit_mark(store, sid, entry, "up")
+        _commit_turn(store, sid, entry, GOLDEN_SCRIPT[1])
+        _commit_mark(store, sid, entry, "up")
+        _commit_mark(store, sid, entry, "down")  # the last mark wins
+        _commit_turn(store, sid, entry, GOLDEN_SCRIPT[2])
+        # Crash: no snapshot, everything is replayed from the journal.
+        recovered = recover_session(build_toy_agent(), tmp_path, sid)
+        assert recovered.replayed == 3
+        assert recovered.mismatches == 0
+        history = recovered.session.context.history
+        assert [t.feedback for t in history] == ["up", "down", None]
+        detail = inspect_session(tmp_path, sid)
+        assert detail["turn_count"] == 3
+        assert detail["journal_suffix"] == 3
+        assert [t.get("feedback") for t in detail["turns"]] == \
+            ["up", "down", None]
+
+    def test_marks_do_not_count_toward_snapshots(self, tmp_path):
+        store = DurableSessionStore(
+            build_toy_agent(), tmp_path, fsync="never", snapshot_every=2
+        )
+        sid, entry = store.create()
+        _commit_turn(store, sid, entry, GOLDEN_SCRIPT[0])
+        _commit_mark(store, sid, entry, "down")
+        assert store.counter("snapshots_written_total") == 0
+        _commit_turn(store, sid, entry, GOLDEN_SCRIPT[1])
+        assert store.counter("snapshots_written_total") == 1
+
+
 class TestRecoverAll:
     def test_recovers_every_session(self, tmp_path):
         sids = []

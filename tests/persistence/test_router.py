@@ -149,6 +149,11 @@ class TestKillRecovery:
             })
             assert status == 200
             texts.append(body["text"])
+        # A committed thumbs mark on the last turn before the crash.
+        status, body = http_json(router.address + "/feedback", {
+            "session_id": sid, "feedback": "down",
+        })
+        assert status == 200, body
 
         owner = affinity(sid, 2)
         old_pid = router.kill_worker(owner, signal.SIGKILL)
@@ -176,6 +181,9 @@ class TestKillRecovery:
         assert status == 200
         assert [t["agent"] for t in detail["turns"]] == control
         assert [t["user"] for t in detail["turns"]] == GOLDEN_SCRIPT
+        marks = [t.get("feedback") for t in detail["turns"]]
+        assert marks[crash_after - 1] == "down"
+        assert marks.count(None) == len(GOLDEN_SCRIPT) - 1
 
     def test_worker_dir_layout(self, router, tmp_path):
         _chat(router, {"utterance": "dosage for Aspirin"})

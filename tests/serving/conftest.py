@@ -1,8 +1,8 @@
 """Fixtures for the serving-layer tests.
 
-Serving tests mutate agent state (they wrap the database, open
-sessions, and append feedback), so every fixture here builds a fresh
-toy agent instead of borrowing the session-scoped read-only one.
+Serving tests mutate agent state (they wrap the database and open
+sessions), so every fixture here builds a fresh toy agent instead of
+borrowing the session-scoped read-only one.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.cli import build_parser, cmd_serve
-from repro.engine import load_log
 from repro.serving import AsyncConversationServer
 from tests.conftest import TOY_DRUGS
 from tests.serving.conftest import build_toy_agent, http_json, http_text
@@ -80,7 +79,6 @@ class TestHTTPContract:
         assert '"status": "ok"' in text
 
     def test_feedback_marks_own_session_not_global_tail(self, served):
-        agent = served.app.agent
         _, mine = http_json(
             served.address + "/chat", {"utterance": "dosage for Aspirin"}
         )
@@ -92,13 +90,15 @@ class TestHTTPContract:
             {"session_id": mine["session_id"], "feedback": "down"},
         )
         assert status == 200 and body["feedback"] == "down"
-        by_session = {
-            r.session_id: r.feedback
-            for r in agent.feedback_log.records()
-            if str(r.session_id) in (mine["session_id"], other["session_id"])
-        }
-        assert by_session[int(mine["session_id"])] == "down"
-        assert by_session[int(other["session_id"])] is None
+        by_session = {}
+        for sid in (mine["session_id"], other["session_id"]):
+            status, detail = http_json(
+                served.address + f"/session?session_id={sid}"
+            )
+            assert status == 200
+            by_session[sid] = [turn.get("feedback") for turn in detail["turns"]]
+        assert by_session[mine["session_id"]] == ["down"]
+        assert by_session[other["session_id"]] == [None]
 
     def test_feedback_validation(self, served):
         status, body = http_json(
@@ -296,7 +296,7 @@ class TestBackpressureAndTimeout:
 
 
 class TestGracefulShutdown:
-    def test_drain_finishes_in_flight_and_flushes_log(self, tmp_path):
+    def test_drain_finishes_in_flight(self):
         agent = build_toy_agent()
         original = agent.respond
 
@@ -305,8 +305,7 @@ class TestGracefulShutdown:
             return original(utterance, context, chunk_sink)
 
         agent.respond = slow_respond
-        log_path = tmp_path / "interactions.jsonl"
-        server = AsyncConversationServer(agent, port=0, log_path=log_path).start()
+        server = AsyncConversationServer(agent, port=0).start()
         outcome = {}
 
         def go():
@@ -332,9 +331,6 @@ class TestGracefulShutdown:
         assert status == 200  # the in-flight turn completed during drain
         assert dosage_of("Aspirin") in body["text"]
 
-        log = load_log(log_path)
-        assert len(log) == 1
-        assert log.records()[0].utterance == "dosage for Aspirin"
         # Instrumentation hooks were uninstalled on close.
         assert agent.database is server.app._original_database
         assert agent.classifier is server.app._original_classifier
@@ -461,12 +457,3 @@ class TestServeRouterCommand:
             assert getattr(worker, name) == getattr(args, name), name
         # Workers keep per-worker replicas: only the backend kind travels.
         assert worker.kb_backend == "sqlite"
-
-    def test_log_with_workers_fails_fast(self, stub_router, tmp_path):
-        args = build_parser().parse_args([
-            "serve", "--workers", "2", "--data-dir", str(tmp_path),
-            "--log", str(tmp_path / "log.jsonl"),
-        ])
-        with pytest.raises(SystemExit, match="--log"):
-            cmd_serve(args, output_fn=lambda line: None, run_forever=False)
-        assert stub_router.instances == []
