@@ -493,7 +493,6 @@ def run_overload_phase(agent: ConversationAgent, smoke: bool) -> dict[str, Any]:
         max_workers=OVERLOAD_CAPACITY,
         max_pending=OVERLOAD_CAPACITY,
         request_timeout=60.0,
-        accept_queue=OVERLOAD_CAPACITY * 16,
     )
 
     async def wave(clients: int) -> dict[str, Any]:

@@ -1163,11 +1163,11 @@ class _BodyWalker:
                     caught=self._caught(),
                 )
             )
-        deferred = self._executor_target(node)
+        deferred = self._deferred_target(node)
         if deferred is not None:
-            # The function runs on a pool thread that holds none of the
-            # caller's locks; its result and exceptions come back at
-            # the caller's await.
+            # The function runs later, on a pool thread or the server's
+            # loop, holding none of the caller's locks; a route entry's
+            # handler is called by the server's dispatch.
             self.function.calls.append(
                 CallSite(
                     callee=deferred, line=node.lineno, held=frozenset(),
@@ -1199,17 +1199,21 @@ class _BodyWalker:
         self._record_io(node, held)
         self._record_registration(node)
 
-    def _executor_target(self, node: ast.Call) -> "FunctionModel | None":
-        """The project function ``loop.run_in_executor(pool, fn, ...)``
-        hands to its pool, if resolvable."""
+    def _deferred_target(self, node: ast.Call) -> "FunctionModel | None":
+        """The project function a call hands on to be run later, if
+        resolvable: the ``fn`` of ``loop.run_in_executor(pool, fn, ...)``
+        or ``pool.submit(fn, ...)``, or the handler of a route-table
+        entry ``Route(handler, ...)``."""
         func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr == "run_in_executor"
-            and len(node.args) >= 2
-        ):
+        name = func.attr if isinstance(func, ast.Attribute) else (
+            func.id if isinstance(func, ast.Name) else None
+        )
+        if name == "run_in_executor" and len(node.args) >= 2:
+            target = node.args[1]
+        elif name in ("submit", "Route") and node.args:
+            target = node.args[0]
+        else:
             return None
-        target = node.args[1]
         if isinstance(target, ast.Attribute):
             owner = self._receiver_class(target.value)
             return owner.find_method(target.attr) if owner is not None else None

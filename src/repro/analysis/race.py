@@ -62,10 +62,12 @@ class RaceConfig:
 
     #: Methods treated as request-handler entry points (R003's reach and
     #: L004's scope) wherever they appear in a handler module, plus
-    #: ``do_*`` methods of ``*HTTPRequestHandler`` subclasses.
+    #: ``do_*`` methods of ``*HTTPRequestHandler`` subclasses.  A
+    #: server's ``_routes`` builds its route table, so it reaches every
+    #: handler the table names.
     handler_methods: tuple[str, ...] = (
-        "_process_request", "handle", "chat", "feedback", "health",
-        "_turn", "forward", "broadcast",
+        "_process_request", "_routes", "handle", "chat", "feedback",
+        "health", "_turn", "forward", "broadcast",
     )
     #: Path substrings whose modules are on the request path.
     handler_modules: tuple[str, ...] = ("serving", "persistence")

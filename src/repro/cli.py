@@ -73,6 +73,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
+from repro.atomic import atomic_write
 from repro.bootstrap import space_from_dict, space_to_dict
 from repro.engine import ConversationAgent
 from repro.errors import KBError
@@ -331,11 +332,11 @@ def cmd_serve(
     ``run_forever=False`` starts and immediately drains (for tests).
 
     Every shape serves HTTP on the one asyncio front end
-    (``repro.serving.frontend``): the app's processes add
-    ``POST /chat/stream`` and the front-end admission knobs
-    (``--rate-limit``/``--rate-burst``/``--accept-queue``), which the
-    router passes on to its workers.  ``--async`` is accepted and
-    ignored.
+    (``repro.serving.frontend``), each from its own route table.  The
+    app's processes bound their in-flight requests (503 ``overloaded``)
+    and take the per-session token bucket's knobs
+    (``--rate-limit``/``--rate-burst``), which the router passes on to
+    its workers.  ``--async`` is accepted and ignored.
     """
     if args.worker_index is not None:
         return _serve_worker(args, output_fn, run_forever)
@@ -373,7 +374,6 @@ def _make_server(
         port=args.port,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
-        accept_queue=args.accept_queue,
         max_sessions=args.max_sessions,
         session_ttl=args.session_ttl,
         cache_size=args.cache_size,
@@ -430,13 +430,10 @@ def _serve_worker(args: argparse.Namespace, output_fn, run_forever) -> int:
         kb_builder=_kb_builder(args),
     )
     server.start()
-    ready = directory / READY_FILE
-    tmp = ready.with_name(ready.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"port": server.port, "pid": os.getpid()}, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, ready)
+    atomic_write(
+        directory / READY_FILE,
+        json.dumps({"port": server.port, "pid": os.getpid()}).encode("utf-8"),
+    )
     output_fn(f"[worker {index}] serving on {server.address}")
     if not run_forever:
         server.shutdown()
@@ -487,7 +484,6 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
         "--snapshot-every", str(args.snapshot_every),
         "--rate-limit", str(args.rate_limit),
         "--rate-burst", str(args.rate_burst),
-        "--accept-queue", str(args.accept_queue),
     ]
     router = SessionRouter(
         args.workers,
@@ -672,9 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 disables the token bucket)")
     serve.add_argument("--rate-burst", type=float, default=8.0,
                        help="token-bucket burst size per session")
-    serve.add_argument("--accept-queue", type=int, default=256,
-                       help="max requests in flight on the front end "
-                            "before shedding 503 queue_full")
     serve.add_argument("--data-dir", default=None,
                        help="durable session root: journaled turns, atomic "
                             "snapshots, crash recovery on boot")

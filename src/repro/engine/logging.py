@@ -19,10 +19,10 @@ the system".  This module implements that loop:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+from repro.atomic import atomic_write
 from repro.bootstrap.space import ConversationSpace
 from repro.engine.feedback import InteractionRecord
 from repro.errors import EngineError
@@ -31,27 +31,15 @@ from repro.errors import EngineError
 def save_log(records: list[InteractionRecord], path: str | Path) -> int:
     """Write ``records`` as JSON lines; returns the number written.
 
-    The write is atomic (temp file in the same directory, then
-    ``os.replace``): a crash mid-write leaves the previous log intact
-    instead of a truncated file.
+    The write is atomic (:func:`~repro.atomic.atomic_write`): a crash
+    mid-write leaves the previous log intact instead of a truncated
+    file.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp"
+    atomic_write(
+        path,
+        "".join(json.dumps(asdict(record)) + "\n" for record in records)
+        .encode("utf-8"),
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(asdict(record)) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
     return len(records)
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from typing import Any, Callable
 
 import zlib
 
+from repro.atomic import atomic_write
 from repro.errors import JournalError
 
 FSYNC_POLICIES = ("always", "interval", "never")
@@ -229,9 +229,9 @@ class SessionJournal:
 def compact_journal(path: str | Path, keep_after_turn: int) -> int:
     """Drop records covered by a snapshot (``turn <= keep_after_turn``).
 
-    Rewrites the journal atomically (temp file + ``os.replace``) keeping
-    only the suffix a recovery would still need to replay; returns how
-    many records were dropped.  Must not race an open writer — callers
+    Rewrites the journal atomically (:func:`~repro.atomic.atomic_write`),
+    keeping only the suffix a recovery would still need to replay;
+    returns how many records were dropped.  Must not race an open writer — callers
     close the session's :class:`SessionJournal` first.
     """
     path = Path(path)
@@ -244,20 +244,5 @@ def compact_journal(path: str | Path, keep_after_turn: int) -> int:
         if int(record.get("turn", 0)) > keep_after_turn
     ]
     dropped = len(result.records) - len(kept)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            for record in kept:
-                handle.write(frame_record(record))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, b"".join(frame_record(record) for record in kept))
     return dropped

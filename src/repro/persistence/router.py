@@ -34,10 +34,8 @@ worker_unavailable`` — clients retry (idempotently, via
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
-import logging
 import signal
 import subprocess
 import sys
@@ -48,13 +46,10 @@ import urllib.request
 import zlib
 from pathlib import Path
 from typing import Any, Iterator
-from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import RouterError
-from repro.serving.frontend import AsyncHTTPServer, Request
+from repro.serving.frontend import AsyncHTTPServer, Request, Route, RouteTable
 from repro.serving.metrics import MetricsRegistry
-
-logger = logging.getLogger("repro.persistence.router")
 
 #: Ready file a worker writes into its worker directory once listening.
 READY_FILE = "worker.json"
@@ -85,21 +80,6 @@ def affinity(session_id: str, workers: int) -> int:
     if sid.isdigit():
         return int(sid) % workers
     return zlib.crc32(sid.encode("utf-8")) % workers
-
-
-def _session_id(path: str, body: bytes | None) -> str | None:
-    """The ``session_id`` a request names, in its query or JSON body."""
-    query = parse_qs(urlsplit(path).query)
-    if "session_id" in query:
-        return query["session_id"][0]
-    if body:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
-        sid = payload.get("session_id") if isinstance(payload, dict) else None
-        return str(sid) if sid is not None else None
-    return None
 
 
 class WorkerHandle:
@@ -204,9 +184,12 @@ class SessionRouter(AsyncHTTPServer):
     router stays agnostic of how agents are built.
 
     The router serves on the shared asyncio front end
-    (:class:`~repro.serving.frontend.AsyncHTTPServer`); each request's
-    ``forward``/``broadcast``/``health`` stays synchronous and runs on
-    the forwarding executor, sized per worker.
+    (:class:`~repro.serving.frontend.AsyncHTTPServer`) from its own
+    route table: ``GET /healthz``, ``GET /metrics`` and ``POST
+    /refresh`` (broadcast) are its own, and every other request is
+    forwarded (counted under the ``<unmatched>`` route label).  Each
+    handler stays synchronous and runs on the forwarding executor,
+    sized per worker.
     """
 
     def __init__(
@@ -249,6 +232,20 @@ class SessionRouter(AsyncHTTPServer):
             lambda: sum(1 for w in self.workers if w.alive),
         )
         self.metrics.gauge("router_workers_total", lambda: len(self.workers))
+        self.table = self._routes()
+
+    def _routes(self) -> RouteTable:
+        """The router's route table, built per instance from bound
+        methods."""
+        return RouteTable(
+            self.metrics,
+            {
+                "GET /healthz": Route(self.health),
+                # Cluster-wide: every worker owns its own KB replica.
+                "POST /refresh": Route(self.broadcast),
+            },
+            fallback=Route(self.forward),
+        )
 
     # -- worker lifecycle ----------------------------------------------------
 
@@ -412,23 +409,22 @@ class SessionRouter(AsyncHTTPServer):
             self._round_robin += 1
         return self.workers[index]
 
-    def forward(
-        self,
-        method: str,
-        path: str,
-        body: bytes | None,
-        session_id: str | None,
-    ) -> tuple[int, bytes, str]:
-        """Proxy one request to its session's worker.
+    def forward(self, request: Request) -> tuple[int, bytes, str]:
+        """Proxy one request to the worker of the session it names.
 
         Returns ``(status, body, content_type)``.  A dead or unreachable
         worker yields a fast 503 the client can retry against.
         """
-        handle = self.pick_worker(session_id)
+        session_id = request.payload.get("session_id")
+        handle = self.pick_worker(
+            None if session_id is None else str(session_id)
+        )
         self.metrics.counter(
             "router_requests_total", ("worker", str(handle.index))
         ).inc()
-        return self._forward_to(handle, method, path, body)
+        return self._forward_to(
+            handle, request.method, request.path, request.body or None
+        )
 
     def _forward_to(
         self,
@@ -492,9 +488,7 @@ class SessionRouter(AsyncHTTPServer):
             )
         return self._unavailable(handle)
 
-    def broadcast(
-        self, method: str, path: str, body: bytes | None
-    ) -> tuple[int, bytes, str]:
+    def broadcast(self, request: Request) -> tuple[int, dict]:
         """Fan one request out to *every* worker and aggregate the results.
 
         Each worker owns an independent KB replica, so cluster-wide
@@ -511,7 +505,7 @@ class SessionRouter(AsyncHTTPServer):
                 "router_broadcasts_total", ("worker", str(handle.index))
             ).inc()
             status, payload, _content_type = self._forward_to(
-                handle, method, path, body
+                handle, request.method, request.path, request.body or None
             )
             try:
                 parsed: Any = json.loads(payload.decode("utf-8"))
@@ -521,11 +515,10 @@ class SessionRouter(AsyncHTTPServer):
                 {"worker": handle.index, "status": status, "body": parsed}
             )
             worst = max(worst, status)
-        body_out = json.dumps({
+        return worst, {
             "status": "ok" if worst < 400 else "partial_failure",
             "workers": results,
-        }).encode("utf-8")
-        return worst, body_out, "application/json"
+        }
 
     def _unavailable(self, handle: WorkerHandle) -> tuple[int, bytes, str]:
         self.metrics.counter("router_errors_total", ("code", "503")).inc()
@@ -536,47 +529,9 @@ class SessionRouter(AsyncHTTPServer):
         }).encode("utf-8")
         return 503, payload, "application/json"
 
-    # -- HTTP ------------------------------------------------------------------
-
-    async def _process_request(
-        self, request: Request, body: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
-        loop = asyncio.get_running_loop()
-        try:
-            status, payload, content_type = await loop.run_in_executor(
-                self._io, self._route, request.method, request.path,
-                body or None,
-            )
-        except Exception as error:
-            logger.exception("routing %s %s failed", request.method,
-                             request.path)
-            payload = json.dumps(
-                {"error": "router_error", "message": str(error)}
-            ).encode("utf-8")
-            status, content_type = 500, "application/json"
-        await self._send(writer, status, payload, content_type)
-        return True
-
-    def _route(
-        self, method: str, path: str, body: bytes | None
-    ) -> tuple[int, bytes, str]:
-        """Answer one request on the forwarding executor."""
-        route = f"{method} {urlsplit(path).path}"
-        if route == "GET /healthz":
-            return self.health()
-        if route == "GET /metrics":
-            rendered = self.metrics.render().encode("utf-8")
-            return 200, rendered, "text/plain; version=0.0.4"
-        if route == "POST /refresh":
-            # Cluster-wide: every worker owns its own KB replica.
-            return self.broadcast(method, path, body)
-        return self.forward(
-            method, path, body, _session_id(path, body)
-        )
-
     # -- router-local endpoints ---------------------------------------------
 
-    def health(self) -> tuple[int, bytes, str]:
+    def health(self, request: Request) -> tuple[int, dict]:
         workers = []
         all_up = True
         for handle in self.workers:
@@ -594,12 +549,11 @@ class SessionRouter(AsyncHTTPServer):
                 "pid": process.pid if process else None,
                 "restarts": restarts,
             })
-        body = json.dumps({
+        return (200 if all_up else 503), {
             "status": "ok" if all_up else "degraded",
             "role": "router",
             "workers": workers,
-        }).encode("utf-8")
-        return (200 if all_up else 503), body, "application/json"
+        }
 
     # -- lifecycle -----------------------------------------------------------
 

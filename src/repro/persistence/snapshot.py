@@ -23,12 +23,11 @@ the original.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.atomic import atomic_write
 from repro.dialogue.context import ConversationContext
 from repro.errors import SnapshotError
 from repro.persistence.journal import crc32
@@ -117,35 +116,8 @@ def write_snapshot(
         sort_keys=True,
     ).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(envelope)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    _fsync_directory(path.parent)
+    atomic_write(path, envelope)
     return len(envelope)
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Make the rename itself durable (best-effort off POSIX)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - non-POSIX platforms
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def load_snapshot(path: str | Path) -> SessionSnapshot | None:

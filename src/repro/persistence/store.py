@@ -39,13 +39,12 @@ affinity hash).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.atomic import atomic_write
 from repro.engine.agent import ConversationAgent, Session, SessionIdAllocator
 from repro.persistence import recovery
 from repro.persistence.journal import (
@@ -111,21 +110,11 @@ class DurableSessionIdAllocator(SessionIdAllocator):
             return
         reserved = up_to + self._reserve_batch * self.stride
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=f".{self.path.name}.", suffix=".tmp"
+        atomic_write(
+            self.path,
+            json.dumps({"reserved": reserved, "stride": self.stride})
+            .encode("utf-8"),
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({"reserved": reserved, "stride": self.stride}, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         self._reserved_to = reserved
 
 

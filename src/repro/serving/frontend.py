@@ -11,24 +11,36 @@ owns what none of them specialises:
   loop runs on a dedicated thread so synchronous callers (tests, the
   CLI) drive every server the same way;
 * the request head parser and the input limits — a 16 KiB head cap,
-  a ``MAX_BODY_BYTES`` body cap (413 ``too_large``) and a strict
-  ``Content-Length`` (400 ``bad_request`` when malformed or negative);
+  a ``MAX_BODY_BYTES`` body cap (413 ``too_large``), a strict
+  ``Content-Length`` (400 ``bad_request`` when malformed or negative)
+  and no ``Transfer-Encoding`` bodies (501, connection closed);
 * the keep-alive connection loop;
+* the one request path: each server hands the front end a
+  :class:`RouteTable` mapping ``"METHOD /path"`` to a :class:`Route`,
+  and :meth:`RouteTable.dispatch` answers every request from it —
+  request counting, JSON decoding, the in-flight bound and error
+  mapping happen there once;
 * the response writer, which sends head and body in one write so a
   keep-alive reply never waits on the client's delayed ACK.
 
-Subclasses implement :meth:`AsyncHTTPServer._process_request`; blocking
-work runs on the server's I/O executor, never on the loop.
+Blocking handlers run on the server's I/O executor, never on the loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from http import HTTPStatus
+from typing import Any, Callable, NamedTuple
+from urllib.parse import parse_qs, urlsplit
+
+from repro.serving.metrics import MetricsRegistry
+
+logger = logging.getLogger("repro.serving.frontend")
 
 #: Maximum accepted request body, in bytes (an utterance, not an upload).
 MAX_BODY_BYTES = 64 * 1024
@@ -48,14 +60,28 @@ class ServingError(Exception):
 
 
 class Request:
-    """One parsed HTTP request (head only; the body is read separately)."""
+    """One HTTP request as its handler sees it.
 
-    __slots__ = ("method", "path", "headers")
+    The connection loop fills ``body`` and ``writer``; the dispatch sets
+    ``payload`` — the decoded JSON body with the query parameters folded
+    in.  An in-process caller passes ``payload`` instead of a body.
+    """
 
-    def __init__(self, method: str, path: str, headers: dict[str, str]):
+    __slots__ = ("method", "path", "headers", "body", "payload", "writer")
+
+    def __init__(
+        self,
+        method: str,
+        path: str,
+        headers: dict[str, str],
+        payload: dict | None = None,
+    ) -> None:
         self.method = method
         self.path = path
         self.headers = headers
+        self.body = b""
+        self.payload = payload
+        self.writer: asyncio.StreamWriter | None = None
 
     @property
     def content_length(self) -> int:
@@ -70,6 +96,31 @@ class Request:
     @property
     def wants_close(self) -> bool:
         return self.headers.get("connection", "").lower() == "close"
+
+    def decode(self, query: str) -> dict:
+        """The JSON body (POST only) with ``query`` folded in; explicit
+        body keys win."""
+        payload = self.payload
+        if payload is None:
+            payload = {}
+            if self.method == "POST" and self.body:
+                try:
+                    payload = json.loads(self.body.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    raise ServingError(
+                        400, "bad_json", "body must be JSON"
+                    ) from None
+                if not isinstance(payload, dict):
+                    raise ServingError(
+                        400, "bad_json", "body must be a JSON object"
+                    )
+        if query:
+            folded = {
+                key: values[-1] for key, values in parse_qs(query).items()
+            }
+            folded.update(payload)
+            payload = folded
+        return payload
 
 
 def _parse_head(head: bytes) -> Request:
@@ -88,13 +139,115 @@ def _parse_head(head: bytes) -> Request:
     return Request(method.upper(), path, headers)
 
 
+class Route(NamedTuple):
+    """One route-table entry: the handler of one ``"METHOD /path"``.
+
+    A handler takes the :class:`Request` and returns its answer: a dict
+    (200 JSON), a str (200 text), a ``(status, body)`` or
+    ``(status, bytes, content_type)`` tuple, or None once it has written
+    the response itself (a stream).  An ``on_loop`` handler is a
+    coroutine awaited on the event loop, and it takes over the request's
+    unit of the in-flight bound (it hands the unit to its turn, or
+    releases it); any other handler runs on the I/O executor, and its
+    unit is released when it returns.
+    """
+
+    handler: Callable[[Request], Any]
+    on_loop: bool = False
+
+
+def _unbounded() -> None:
+    """No in-flight bound: nothing to take or return."""
+
+
+class RouteTable:
+    """One server's routes and the one dispatch every request takes.
+
+    ``routes`` maps ``"METHOD /path"`` to a :class:`Route`; ``GET
+    /metrics`` is added for every server.  ``fallback`` answers the
+    requests no key matches (the router forwards them); without one
+    they are 404s.  ``admit`` takes one unit of the server's in-flight
+    bound, raising 503 ``overloaded`` when none is left, and
+    ``release`` returns it; a server without a bound passes neither.
+    """
+
+    def __init__(
+        self,
+        metrics: MetricsRegistry,
+        routes: dict[str, Route],
+        *,
+        fallback: Route | None = None,
+        admit: Callable[[], None] = _unbounded,
+        release: Callable[[], None] = _unbounded,
+    ) -> None:
+        self.metrics = metrics
+        self.routes = {"GET /metrics": Route(self.render_metrics), **routes}
+        self.fallback = fallback
+        self._admit = admit
+        self._release = release
+
+    def render_metrics(self, request: Request) -> str:
+        return self.metrics.render()
+
+    def error(self, exc: ServingError) -> dict:
+        """Count one error response and build its JSON body."""
+        self.metrics.counter("http_errors_total", ("code", exc.code)).inc()
+        return {"error": exc.code, "message": exc.message}
+
+    async def dispatch(
+        self, request: Request, executor: Executor | None
+    ) -> tuple | None:
+        """Answer one request: ``(status, body[, content_type])``, or
+        None when the handler wrote the response itself.
+
+        Every request is counted once, under its table key or
+        ``<unmatched>`` (so a scanner walking random URLs cannot grow
+        label cardinality), before its body is decoded.
+        """
+        parts = urlsplit(request.path)
+        key = f"{request.method} {parts.path}"
+        route = self.routes.get(key)
+        self.metrics.counter(
+            "http_requests_total",
+            ("route", key if route is not None else "<unmatched>"),
+        ).inc()
+        route = route or self.fallback
+        try:
+            if route is None:
+                raise ServingError(404, "not_found", f"no route for {key}")
+            request.payload = request.decode(parts.query)
+            self._admit()
+            if route.on_loop:
+                answer = await route.handler(request)
+            else:
+                try:
+                    answer = await asyncio.get_running_loop().run_in_executor(
+                        executor, route.handler, request
+                    )
+                finally:
+                    self._release()
+        except ServingError as exc:
+            return exc.status, self.error(exc)
+        except Exception as exc:
+            logger.exception("%s failed: %r", key, exc)
+            return 500, self.error(
+                ServingError(500, "internal", "internal error")
+            )
+        if answer is None or isinstance(answer, tuple):
+            return answer
+        return 200, answer
+
+
 class AsyncHTTPServer:
     """Owns the listening socket, the event loop thread and the lifecycle.
 
     Usable as a context manager (``start`` on enter, ``shutdown`` on
-    exit).  ``io_threads`` sizes the executor that subclasses hand
-    their blocking work to.
+    exit).  A subclass sets ``table``, the :class:`RouteTable` every
+    request is dispatched from; ``io_threads`` sizes the executor its
+    blocking handlers run on.
     """
+
+    table: RouteTable
 
     def __init__(
         self, host: str, port: int, *, io_threads: int, name: str
@@ -241,60 +394,92 @@ class AsyncHTTPServer:
                 return  # clean keep-alive close between requests
             try:
                 request = _parse_head(head)
+                if "transfer-encoding" in request.headers:
+                    # Unread chunk bytes would be parsed as the next
+                    # request on this connection.
+                    raise ServingError(
+                        501, "transfer_encoding_unsupported",
+                        "Transfer-Encoding request bodies are not supported",
+                    )
                 length = request.content_length
                 if length > MAX_BODY_BYTES:
                     raise ServingError(
                         413, "too_large", "request body too large"
                     )
-                body = await reader.readexactly(length) if length else b""
+                if length:
+                    request.body = await reader.readexactly(length)
             except ServingError as exc:
-                await self._send_json(
+                await send(
                     writer, exc.status,
                     {"error": exc.code, "message": exc.message},
                     keep_alive=False,
                 )
                 return
-            keep_alive = await self._process_request(request, body, writer)
-            if not keep_alive or request.wants_close:
+            request.writer = writer
+            await self._process_request(request)
+            if request.wants_close:
                 return
 
-    async def _process_request(
-        self, request: Request, body: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Answer one request; returns False when the connection must close."""
-        raise NotImplementedError
+    async def _process_request(self, request: Request) -> None:
+        """Answer one request from the server's route table."""
+        reply = await self.table.dispatch(request, self._io)
+        if reply is not None:
+            await send(request.writer, *reply)
 
-    # -- wire format ----------------------------------------------------------
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        data: bytes,
-        content_type: str,
-        keep_alive: bool = True,
-    ) -> None:
-        connection = "keep-alive" if keep_alive else "close"
-        head = (
-            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"Connection: {connection}\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + data)
-        await writer.drain()
+# -- wire format ---------------------------------------------------------------
 
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: dict | str,
-        keep_alive: bool = True,
-    ) -> None:
-        if isinstance(body, str):
-            data = body.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            data = json.dumps(body).encode("utf-8")
-            content_type = "application/json"
-        await self._send(writer, status, data, content_type, keep_alive)
+async def send(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: dict | str | bytes,
+    content_type: str | None = None,
+    keep_alive: bool = True,
+) -> None:
+    """Write one response: a dict as JSON, a str as text, bytes as
+    ``content_type``."""
+    if isinstance(body, bytes):
+        data = body
+    elif isinstance(body, str):
+        data = body.encode("utf-8")
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        data = json.dumps(body).encode("utf-8")
+        content_type = "application/json"
+    connection = "keep-alive" if keep_alive else "close"
+    head = (
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(data)}\r\n"
+        f"Connection: {connection}\r\n\r\n"
+    )
+    writer.write(head.encode("latin-1") + data)
+    await writer.drain()
+
+
+async def start_stream(writer: asyncio.StreamWriter) -> None:
+    """Open a chunked ``text/event-stream`` response."""
+    writer.write(
+        b"HTTP/1.1 200 OK\r\n"
+        b"Content-Type: text/event-stream\r\n"
+        b"Cache-Control: no-cache\r\n"
+        b"Transfer-Encoding: chunked\r\n"
+        b"Connection: keep-alive\r\n\r\n"
+    )
+    await writer.drain()
+
+
+async def send_event(
+    writer: asyncio.StreamWriter, event: str, data: dict
+) -> None:
+    """One SSE event as one chunk."""
+    frame = f"event: {event}\ndata: {json.dumps(data)}\n\n".encode("utf-8")
+    writer.write(f"{len(frame):x}\r\n".encode("latin-1"))
+    writer.write(frame)
+    writer.write(b"\r\n")
+    await writer.drain()
+
+
+async def end_stream(writer: asyncio.StreamWriter) -> None:
+    writer.write(b"0\r\n\r\n")
+    await writer.drain()

@@ -1,4 +1,4 @@
-"""The transport-independent conversation app behind every HTTP front end.
+"""The conversation app: its route table and request handlers.
 
 The paper deploys Conversational MDX as a cloud service answering real
 clinician traffic (§6–§7); :class:`ConversationApp` is that serving
@@ -7,10 +7,10 @@ layer's request handling for the reproduction.  One shared, immutable
 per-conversation state lives in the
 :class:`~repro.serving.session_store.SessionStore`, and repeated lookup
 queries are short-circuited by the
-:class:`~repro.serving.query_cache.QueryCache`.  HTTP itself is served
-by :class:`~repro.serving.aio.AsyncConversationServer` on the shared
-asyncio front end (:mod:`repro.serving.frontend`), which adds
-``POST /chat/stream``.
+:class:`~repro.serving.query_cache.QueryCache`.  The app's route table
+(:class:`~repro.serving.frontend.RouteTable`) is served over HTTP by
+:class:`~repro.serving.aio.AsyncConversationServer` and in-process by
+:meth:`ConversationApp.handle`.
 
 Endpoints
 ---------
@@ -24,6 +24,22 @@ Endpoints
     turn) makes retries idempotent: re-sending a turn the server
     already committed returns the committed response instead of
     running the turn twice.
+``POST /chat/stream``
+    Same payload as ``/chat``; the response is an SSE-style
+    ``text/event-stream`` (chunked transfer encoding) of events emitted
+    while the turn executes::
+
+        event: rows
+        data: {"batch": 0, "rows": [...]}
+
+    ``rows`` batches arrive as soon as the KB query returns (before the
+    answer text is rendered or the turn committed); clarification turns
+    emit one ``elicitation`` or ``disambiguation`` event (the latter
+    carrying the candidate ``choices``); the stream terminates with a
+    ``done`` event whose data is exactly the committed-turn JSON that
+    ``POST /chat`` would have returned, or an ``error`` event.
+    Admission and validation failures before the first chunk are plain
+    JSON error responses, not streams.
 ``POST /feedback``
     ``{"session_id": ..., "feedback": "up"|"down"}`` → thumbs feedback
     on that session's most recent turn (Equation 1 input), stored on
@@ -42,12 +58,29 @@ Endpoints
     committed transcript (read-only — inspecting a journaled session
     does not page it back into memory).
 
-Concurrency model: agent turns execute on a bounded
-``ThreadPoolExecutor`` and the slot gate (``max_pending``) is the
-admission control.  Each turn carries a timeout (504 on expiry) and the
-app sheds load with 503 once ``max_pending`` turns are in flight.
-``close()`` drains: new chat turns are refused, then in-flight turns
-finish.
+Admission control
+-----------------
+Every refusal is visible in ``/metrics`` as
+``admission_rejected_total{reason=}``:
+
+* one in-flight bound — every admitted request takes one unit of
+  ``max_pending`` at the dispatch point; past it requests are shed with
+  503 ``overloaded``.  A chat turn's unit is released only by its turn
+  future's done-callback, so a turn whose client got a 504 stays
+  counted while it still occupies an executor thread;
+* a per-session token bucket (``rate_limit`` turns/second sustained,
+  ``rate_burst`` burst) — over-rate chat turns are shed with 429
+  ``rate_limited``;
+* the drain gate — once ``close()`` begins, new turns get 503
+  ``draining`` while in-flight ones finish.
+
+Concurrency model: chat handlers run on the event loop and await the
+turn future; each turn (session lookup, then the pipeline) runs on a
+bounded ``ThreadPoolExecutor`` with a timeout (504 on expiry).  Every
+other handler runs on the front end's I/O executor.  Stream chunks hop
+from the turn thread to the loop via ``loop.call_soon_threadsafe`` into
+a per-request ``asyncio.Queue``, so event order is preserved and the
+turn never blocks on a slow client.
 
 Durability: constructed with a ``data_dir`` the app replaces its
 in-memory session store with a
@@ -60,35 +93,29 @@ in from disk, and boot runs crash recovery.  See
 
 from __future__ import annotations
 
+import asyncio
 import logging
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
-from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.agent import ConversationAgent
 from repro.engine.kinds import ResponseKind
 from repro.errors import EngineError
-from repro.serving.frontend import ServingError
+from repro.serving.frontend import (
+    Request,
+    Route,
+    RouteTable,
+    ServingError,
+    end_stream,
+    send_event,
+    start_stream,
+)
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.query_cache import CachingDatabase, QueryCache
 from repro.serving.session_store import SessionEntry, SessionStore
-
-#: Routes the app serves; anything else is labelled ``<unmatched>`` in
-#: ``http_requests_total`` so a scanner walking random 404 URLs cannot
-#: grow metric label cardinality (and registry memory) without bound.
-KNOWN_ROUTES = frozenset({
-    "POST /chat",
-    "POST /chat/stream",
-    "POST /feedback",
-    "POST /refresh",
-    "GET /healthz",
-    "GET /metrics",
-    "GET /sessions",
-    "GET /session",
-})
 
 logger = logging.getLogger("repro.serving")
 
@@ -141,7 +168,7 @@ class _TimingClassifier:
 
 
 class ConversationApp:
-    """Transport-independent request handling (shared by tests and HTTP)."""
+    """The app's routes and handlers, served over HTTP and in-process."""
 
     def __init__(
         self,
@@ -160,6 +187,7 @@ class ConversationApp:
         id_offset: int = 1,
         recover_on_boot: bool = True,
         kb_builder: Callable[[], Any] | None = None,
+        bucket: Any = None,
     ) -> None:
         self.agent = agent
         self.metrics = MetricsRegistry()
@@ -200,6 +228,9 @@ class ConversationApp:
         self.cache = QueryCache(max_entries=cache_size)
         self.request_timeout = request_timeout
         self.max_pending = max_pending
+        #: The per-session :class:`~repro.serving.aio.TokenBucket` the
+        #: chat handlers consult, or None (no rate limit).
+        self.bucket = bucket
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-turn"
         )
@@ -207,7 +238,7 @@ class ConversationApp:
         self._state_lock = threading.Lock()
         self._draining = False
         #: Turn futures whose client already got a 504: the turn is
-        #: still running on the executor, its slot is still reserved
+        #: still running on the executor, its unit is still held
         #: (the done-callback frees it), and its eventual exception is
         #: retrieved and logged instead of becoming "never retrieved"
         #: noise.
@@ -303,6 +334,24 @@ class ConversationApp:
                 self.metrics.gauge(
                     name, lambda n=name: self.durable.counter(n)
                 )
+        self.table = self._routes()
+
+    def _routes(self) -> RouteTable:
+        """The app's route table, built per instance from bound methods."""
+        return RouteTable(
+            self.metrics,
+            {
+                "POST /chat": Route(self._chat, on_loop=True),
+                "POST /chat/stream": Route(self._chat_stream, on_loop=True),
+                "POST /feedback": Route(self.feedback),
+                "POST /refresh": Route(self.refresh_kb),
+                "GET /healthz": Route(self.health),
+                "GET /sessions": Route(self.list_sessions),
+                "GET /session": Route(self.session_detail),
+            },
+            admit=self._admit,
+            release=self._release,
+        )
 
     # -- state ---------------------------------------------------------------
 
@@ -316,32 +365,35 @@ class ConversationApp:
         with self._state_lock:
             return self._draining
 
-    def _try_reserve_slot(self) -> bool:
-        """Atomically reserve one in-flight turn slot (the admission gate).
+    def _admit(self) -> None:
+        """Take one unit of the in-flight bound, or shed the request.
 
         The capacity check and the increment happen under a single lock
-        acquisition, so N requests racing the gate admit at most
-        ``max_pending`` turns.  (The old pattern read ``in_flight`` in
-        one acquisition and incremented in a second — a check-then-act
-        race that let concurrent requests all pass the gate at once.)
+        acquisition, so N requests racing the bound admit at most
+        ``max_pending``.  (A check in one acquisition and an increment
+        in a second let concurrent requests all pass at once.)
         """
         with self._state_lock:
-            if self._in_flight >= self.max_pending:
-                return False
-            self._in_flight += 1
-            return True
+            if self._in_flight < self.max_pending:
+                self._in_flight += 1
+                return
+        self.metrics.counter(
+            "admission_rejected_total", ("reason", "overloaded")
+        ).inc()
+        raise ServingError(503, "overloaded", "too many requests in flight")
 
-    def _release_slot(self) -> None:
-        """Undo a reservation whose turn never reached the executor."""
+    def _release(self) -> None:
+        """Return the unit of a request that started no turn."""
         with self._state_lock:
             self._in_flight -= 1
 
     def _on_turn_done(self, future: Future) -> None:
-        """Done-callback on every turn future: the only slot release.
+        """Done-callback on every turn future: the only release of a
+        turn's unit.
 
         A 504 abandons the future, but ``Future.cancel`` cannot stop a
         turn that is already running — the executor thread it occupies
-        is real load, so the slot stays reserved (visible to admission
+        is real load, so the unit stays held (visible to admission
         control) until the turn actually finishes, which is exactly when
         this callback fires.  Abandoned futures also get their exception
         retrieved and logged here instead of surfacing as "exception was
@@ -389,61 +441,84 @@ class ConversationApp:
 
     # -- request handling ----------------------------------------------------
 
-    def handle(self, method: str, path: str, payload: dict) -> tuple[int, dict | str]:
-        """Route one request; returns (status, JSON-able body or text).
+    def handle(
+        self, method: str, path: str, payload: dict
+    ) -> tuple[int, dict | str]:
+        """Answer one request in-process; returns (status, body).
 
-        GET query parameters (``/session?session_id=7``) are folded into
-        the payload; explicit payload keys win.
+        The HTTP front end's dispatch over the same route table, without
+        a socket: ``payload`` stands in for the decoded JSON body, and
+        GET query parameters (``/session?session_id=7``) are folded in
+        (explicit payload keys win).  Blocking handlers run on a
+        short-lived event loop's default executor; ``/chat/stream``
+        needs a connection and is HTTP-only.
         """
-        parts = urlsplit(path)
-        if parts.query:
-            query = {
-                key: values[-1]
-                for key, values in parse_qs(parts.query).items()
-            }
-            query.update(payload)
-            payload = query
-        route = f"{method} {parts.path}"
-        self.metrics.counter(
-            "http_requests_total",
-            ("route", route if route in KNOWN_ROUTES else "<unmatched>"),
-        ).inc()
-        try:
-            if route == "POST /chat":
-                return 200, self.chat(payload)
-            if route == "POST /feedback":
-                return 200, self.feedback(payload)
-            if route == "POST /refresh":
-                return 200, self.refresh_kb(payload)
-            if route == "GET /healthz":
-                return 200, self.health()
-            if route == "GET /metrics":
-                return 200, self.metrics.render()
-            if route == "GET /sessions":
-                return 200, self.list_sessions()
-            if route == "GET /session":
-                return 200, self.session_detail(payload)
-            raise ServingError(404, "not_found", f"no route for {route}")
-        except ServingError as exc:
-            self.metrics.counter(
-                "http_errors_total", ("code", exc.code)
-            ).inc()
-            return exc.status, {"error": exc.code, "message": exc.message}
+        request = Request(method, path, {}, payload=dict(payload))
+        return asyncio.run(self.table.dispatch(request, None))
 
-    def _admit_chat(
-        self, payload: dict
-    ) -> tuple[str, str, SessionEntry, bool, str | None]:
-        """Validate a chat payload and resolve its session (no slot yet)."""
-        utterance = payload.get("utterance")
-        if not isinstance(utterance, str) or not utterance.strip():
-            raise ServingError(
-                400, "bad_request", "'utterance' must be a non-empty string"
-            )
-        if self.draining:
+    def chat(self, payload: dict) -> dict:
+        """Run one turn in-process; raises the error a client would get."""
+        status, body = self.handle("POST", "/chat", payload)
+        if status != 200:
+            raise ServingError(status, body["error"], body["message"])
+        return body
+
+    def _check_rate(self, payload: dict) -> None:
+        """Per-session token bucket (chat routes, loop thread only)."""
+        session_id = payload.get("session_id")
+        if self.bucket is None or session_id is None:
+            return  # opening turns have no key yet
+        if not self.bucket.allow(str(session_id)):
             self.metrics.counter(
-                "admission_rejected_total", ("reason", "draining")
+                "admission_rejected_total", ("reason", "rate_limited")
             ).inc()
-            raise ServingError(503, "draining", "server is shutting down")
+            raise ServingError(
+                429, "rate_limited",
+                "session exceeded its turn rate limit; retry later",
+            )
+
+    def _start_turn(
+        self,
+        payload: dict,
+        chunk_sink: Callable[[str, dict], None] | None = None,
+    ) -> Future:
+        """Check one chat payload and start its turn on the executor.
+
+        The turn takes over the request's in-flight unit: the future's
+        done-callback releases it, and callers that stop waiting report
+        through :meth:`timeout_turn`.  A payload refused here releases
+        the unit before the error propagates.
+        """
+        try:
+            self._check_rate(payload)
+            utterance = payload.get("utterance")
+            if not isinstance(utterance, str) or not utterance.strip():
+                raise ServingError(
+                    400, "bad_request",
+                    "'utterance' must be a non-empty string",
+                )
+            if self.draining:
+                self.metrics.counter(
+                    "admission_rejected_total", ("reason", "draining")
+                ).inc()
+                raise ServingError(503, "draining", "server is shutting down")
+            future: Future = self._executor.submit(
+                self._open_turn, payload, utterance, chunk_sink
+            )
+        except BaseException:
+            self._release()
+            raise
+        future.add_done_callback(self._on_turn_done)
+        return future
+
+    def _open_turn(
+        self,
+        payload: dict,
+        utterance: str,
+        chunk_sink: Callable[[str, dict], None] | None,
+    ) -> dict:
+        """Resolve the turn's session (new, live or paged in), then run
+        the turn; on the turn executor."""
         session_id = payload.get("session_id")
         if session_id is None:
             sid, entry = self.sessions.create()
@@ -457,44 +532,78 @@ class ConversationApp:
                     f"session {sid} does not exist (it may have expired)",
                 )
             entry = found
-        debug = bool(payload.get("debug"))
         client_turn_id = payload.get("client_turn_id")
-        if client_turn_id is not None:
-            client_turn_id = str(client_turn_id)
-        return utterance, sid, entry, debug, client_turn_id
+        return self._turn(
+            sid, entry, utterance, bool(payload.get("debug")),
+            None if client_turn_id is None else str(client_turn_id),
+            chunk_sink,
+        )
 
-    def submit_turn(
-        self,
-        sid: str,
-        entry: SessionEntry,
-        utterance: str,
-        debug: bool,
-        client_turn_id: str | None,
-        chunk_sink: Callable[[str, dict], None] | None = None,
-    ) -> Future:
-        """Reserve a slot and start the turn on the executor.
-
-        Raises 503 when admission control refuses the turn; otherwise
-        the returned future resolves to the committed-turn dict.  The
-        slot is released by the future's done-callback — callers that
-        stop waiting must report through :meth:`timeout_turn`, never by
-        touching the slot count themselves.
-        """
-        if not self._try_reserve_slot():
-            self.metrics.counter(
-                "admission_rejected_total", ("reason", "overloaded")
-            ).inc()
-            raise ServingError(503, "overloaded", "too many turns in flight")
+    async def _chat(self, request: Request) -> dict:
+        """``POST /chat``: await the turn on the loop, 504 past the timeout."""
+        future = self._start_turn(request.payload)
         try:
-            future: Future = self._executor.submit(
-                self._turn, sid, entry, utterance, debug, client_turn_id,
-                chunk_sink,
+            return await asyncio.wait_for(
+                asyncio.wrap_future(future), self.request_timeout
             )
-        except BaseException:
-            self._release_slot()
-            raise
-        future.add_done_callback(self._on_turn_done)
-        return future
+        except asyncio.TimeoutError:
+            raise self.timeout_turn(future) from None
+
+    async def _chat_stream(self, request: Request) -> None:
+        """``POST /chat/stream``: the turn's chunks as SSE events."""
+        loop = asyncio.get_running_loop()
+        queue: asyncio.Queue = asyncio.Queue()
+
+        def emit(kind: str, data: dict) -> None:
+            # Runs on the executor thread driving the turn; hop to the
+            # loop.  FIFO: chunks always precede the future's done hop.
+            loop.call_soon_threadsafe(queue.put_nowait, (kind, data))
+
+        future = self._start_turn(request.payload, self.stream_sink(emit))
+        wrapped = asyncio.wrap_future(future)
+        wrapped.add_done_callback(
+            lambda _f: queue.put_nowait(("__done__", {}))
+        )
+        timeout_handle = loop.call_later(
+            self.request_timeout,
+            lambda: queue.put_nowait(("__timeout__", {})),
+        )
+        writer = request.writer
+        started = False
+        try:
+            while True:
+                kind, data = await queue.get()
+                if kind == "__timeout__":
+                    # The abandoned turn keeps running; its chunks drain
+                    # into this queue, which dies with this request.
+                    error = self.timeout_turn(future)
+                elif kind == "__done__":
+                    timeout_handle.cancel()
+                    try:
+                        kind, data = "done", future.result()
+                    except ServingError as exc:
+                        error = exc
+                    except Exception as exc:
+                        if not wrapped.cancelled():
+                            logger.exception("streamed turn failed: %r", exc)
+                        error = ServingError(500, "internal", "turn failed")
+                if kind.startswith("__"):  # the turn failed or timed out
+                    if not started:
+                        raise error  # a plain JSON error response
+                    kind, data = "error", self.table.error(error)
+                if not started:
+                    await start_stream(writer)
+                    started = True
+                await send_event(writer, kind, data)
+                if kind in ("done", "error"):
+                    await end_stream(writer)
+                    return None
+        except (ConnectionResetError, BrokenPipeError):
+            # Mid-stream disconnect: the turn still commits (its unit is
+            # released by the done-callback); we just stop writing.
+            timeout_handle.cancel()
+            self.metrics.counter("stream_disconnects_total").inc()
+            return None
 
     def timeout_turn(self, future: Future) -> ServingError:
         """Bookkeeping for a turn whose client gave up; returns the 504.
@@ -543,17 +652,6 @@ class ConversationApp:
             self.metrics.counter("stream_chunks_total").inc()
 
         return sink
-
-    def chat(self, payload: dict) -> dict:
-        """Run one turn synchronously, enforcing the request timeout."""
-        utterance, sid, entry, debug, client_turn_id = self._admit_chat(
-            payload
-        )
-        future = self.submit_turn(sid, entry, utterance, debug, client_turn_id)
-        try:
-            return future.result(timeout=self.request_timeout)
-        except TimeoutError:
-            raise self.timeout_turn(future) from None
 
     def _turn(
         self,
@@ -640,9 +738,9 @@ class ConversationApp:
             result["debug"] = trace.to_dict()
         return result
 
-    def feedback(self, payload: dict) -> dict:
-        session_id = payload.get("session_id")
-        feedback = payload.get("feedback")
+    def feedback(self, request: Request) -> dict:
+        session_id = request.payload.get("session_id")
+        feedback = request.payload.get("feedback")
         if session_id is None or feedback not in ("up", "down"):
             raise ServingError(
                 400,
@@ -666,7 +764,7 @@ class ConversationApp:
         self.metrics.counter("feedback_total", ("feedback", feedback)).inc()
         return {"session_id": sid, "feedback": feedback}
 
-    def refresh_kb(self, payload: dict | None = None) -> dict:
+    def refresh_kb(self, request: Request) -> dict:
         """Build, validate and atomically swap in the next KB snapshot.
 
         Runs on the calling thread (a front-end I/O executor thread, not
@@ -732,7 +830,7 @@ class ConversationApp:
             with self._refresh_state_lock:
                 self._refresh_in_progress = False
 
-    def health(self) -> dict:
+    def health(self, request: Request) -> dict:
         health = {
             "status": "draining" if self.draining else "ok",
             "sessions": len(self.store),
@@ -753,7 +851,7 @@ class ConversationApp:
             }
         return health
 
-    def list_sessions(self) -> dict:
+    def list_sessions(self, request: Request) -> dict:
         """Live sessions plus every session with durable state on disk."""
         live = set(self.store.ids())
         out = {"live": sorted(live, key=_session_sort_key)}
@@ -765,14 +863,14 @@ class ConversationApp:
             out["paged_out"] = [sid for sid in durable if sid not in live]
         return out
 
-    def session_detail(self, payload: dict) -> dict:
+    def session_detail(self, request: Request) -> dict:
         """One session's committed transcript (read-only).
 
         A live session answers from its in-memory context; a paged-out
         one is inspected straight from its journal/snapshot without
         being paged back in.
         """
-        session_id = payload.get("session_id")
+        session_id = request.payload.get("session_id")
         if session_id is None:
             raise ServingError(400, "bad_request", "'session_id' is required")
         sid = str(session_id)

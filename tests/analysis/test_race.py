@@ -263,6 +263,36 @@ class TestR003BlockingUnderLock:
             in diags[0].message
         )
 
+    def test_route_table_handler_is_reachable_from_its_builder(self):
+        # A server's dispatch calls its handlers through a route table;
+        # the entry naming a handler counts as a call from the method
+        # that builds the table.
+        diags = _diags("""
+            import os
+            import threading
+
+            class Route:
+                def __init__(self, handler, on_loop=False):
+                    self.handler = handler
+
+            class Front:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def _routes(self):
+                    return {"POST /work": Route(self._work)}
+
+                def _work(self, fd):
+                    with self._lock:
+                        os.fsync(fd)
+        """, path="src/repro/serving/front.py")
+        assert [d.code for d in diags] == ["R003"]
+        assert diags[0].severity is Severity.ERROR
+        assert (
+            "request-handler path Front._routes also acquires"
+            in diags[0].message
+        )
+
     def test_non_handler_lock_is_a_warning(self):
         # Same shape outside the request path: still worth knowing, not
         # worth failing the build.
@@ -572,19 +602,19 @@ class TestShippedTree:
         assert "matched nothing" not in out
 
     def test_request_entry_points_reach_worker_and_session_locks(self):
-        # The router's and the app's request paths both enter through
-        # _process_request on the asyncio front end and take these locks
-        # on executor threads; R003 must keep treating them as
-        # handler-reachable.
+        # The router's and the app's requests are dispatched from the
+        # route tables their _routes methods build, and their handlers
+        # take these locks on executor threads; R003 must keep treating
+        # them as handler-reachable.
         project = build_model([REPO_ROOT / "src" / "repro"])
         analysis = RaceAnalysis(project, RaceConfig())
         entries = {
             function.qualname: function
             for function in analysis.functions
-            if function.name == "_process_request"
+            if function.name == "_routes"
         }
-        router = entries["SessionRouter._process_request"]
-        app = entries["AsyncConversationServer._process_request"]
+        router = entries["SessionRouter._routes"]
+        app = entries["ConversationApp._routes"]
         assert "WorkerHandle.lock" in router.trans_acquires
         assert "SessionEntry.lock" in app.trans_acquires
         assert {"WorkerHandle.lock", "SessionEntry.lock"} <= set(

@@ -266,6 +266,18 @@ class TestRouterInputLimits:
         assert status == 400
         assert body["error"] == "bad_request"
 
+    def test_transfer_encoding_body_is_501_not_forwarded(self, bare_router):
+        reply = _raw_exchange(
+            bare_router,
+            "POST /chat HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            "2\r\n{}\r\n0\r\n\r\n",
+        )
+        # One answer: the chunk bytes are not parsed as a next request.
+        assert reply.count(b"HTTP/1.1 ") == 1
+        status, body = _status_and_body(reply)
+        assert status == 501
+        assert body["error"] == "transfer_encoding_unsupported"
+
     def test_head_over_cap_is_dropped_unanswered(self, bare_router):
         filler = "x" * MAX_HEAD_BYTES
         reply = _raw_exchange(

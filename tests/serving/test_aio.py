@@ -3,8 +3,8 @@
 Exercises the asyncio front end over a real socket: ``/chat`` bodies
 byte-identical to a golden fixture, SSE event ordering
 on ``/chat/stream`` (``rows`` before the terminating ``done``),
-clarification events, mid-stream disconnect cleanup, the three
-admission gates (accept queue, per-session token bucket, turn slots),
+clarification events, mid-stream disconnect cleanup, admission (the
+one in-flight bound and the per-session token bucket),
 and a miniature version of the ROADMAP saturation gate: under
 over-admission load the p99 of *admitted* turns stays bounded and the
 excess is shed as 503s that show up in ``/metrics``.
@@ -219,6 +219,26 @@ class TestHTTPContract:
         finally:
             client.close()
 
+    def test_transfer_encoding_body_is_501_and_closes(self, aserved):
+        # A chunked body is refused whole: one 501, then the connection
+        # closes, so the chunk bytes are never read as a request.
+        body = json.dumps({"utterance": "dosage for Aspirin"}).encode()
+        client = RawClient(aserved.host, aserved.port)
+        try:
+            client.sock.sendall(
+                b"POST /chat HTTP/1.1\r\nHost: t\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + f"{len(body):x}\r\n".encode("latin-1") + body
+                + b"\r\n0\r\n\r\n"
+            )
+            status, headers, raw = client.read_response()
+            assert status == 501
+            assert json.loads(raw)["error"] == "transfer_encoding_unsupported"
+            assert headers["connection"] == "close"
+            assert client.file.read() == b""  # no second response
+        finally:
+            client.close()
+
     def test_keep_alive_serves_multiple_requests_per_connection(self, aserved):
         client = RawClient(aserved.host, aserved.port)
         try:
@@ -403,7 +423,10 @@ class TestStreaming:
 
 
 class TestAdmission:
-    def test_accept_queue_full_sheds_with_503(self):
+    def test_in_flight_bound_sheds_every_route_with_503(self):
+        # One bound for every route: with max_pending requests in
+        # flight, a further chat turn and a further inspection request
+        # are both shed as 503 overloaded.
         agent = build_toy_agent()
         original = agent.respond
         release = threading.Event()
@@ -414,7 +437,7 @@ class TestAdmission:
 
         agent.respond = blocked
         server = AsyncConversationServer(
-            agent, port=0, accept_queue=1, max_workers=2, max_pending=4,
+            agent, port=0, max_workers=2, max_pending=1,
             request_timeout=10.0,
         )
         with server:
@@ -431,19 +454,27 @@ class TestAdmission:
                 thread.start()
                 assert _wait_until(lambda: server.app.in_flight == 1)
                 status, body = http_json(
-                    server.address + "/healthz"
+                    server.address + "/chat", {"utterance": "help"}
                 )
-                assert status == 503
-                assert body["error"] == "queue_full"
+                assert (status, body["error"]) == (503, "overloaded")
+                status, body = http_json(
+                    server.address + "/session?session_id=1"
+                )
+                assert (status, body["error"]) == (503, "overloaded")
                 release.set()
                 thread.join(timeout=10.0)
                 assert outcome["result"][0] == 200
                 assert (
                     server.app.metrics.counter(
-                        "admission_rejected_total", ("reason", "queue_full")
+                        "admission_rejected_total", ("reason", "overloaded")
                     ).value
-                    == 1
+                    == 2
                 )
+                assert _wait_until(lambda: server.app.in_flight == 0)
+                status, _body = http_json(
+                    server.address + "/session?session_id=1"
+                )
+                assert status == 200
             finally:
                 release.set()
 
@@ -533,7 +564,7 @@ class TestSaturation:
 
         agent.respond = paced
         server = AsyncConversationServer(
-            agent, port=0, max_workers=2, max_pending=2, accept_queue=64,
+            agent, port=0, max_workers=2, max_pending=2,
             request_timeout=10.0,
         )
         with server:

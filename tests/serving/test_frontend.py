@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import socket
 
-from repro.serving.frontend import AsyncHTTPServer, Request
+from repro.serving.frontend import AsyncHTTPServer, Route, RouteTable
+from repro.serving.metrics import MetricsRegistry
 
 
 class _OkServer(AsyncHTTPServer):
@@ -14,12 +14,9 @@ class _OkServer(AsyncHTTPServer):
 
     def __init__(self) -> None:
         super().__init__("127.0.0.1", 0, io_threads=1, name="test-frontend")
-
-    async def _process_request(
-        self, request: Request, body: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
-        await self._send_json(writer, 200, {})
-        return True
+        self.table = RouteTable(
+            MetricsRegistry(), {}, fallback=Route(lambda request: {})
+        )
 
 
 def _read_response(sock: socket.socket) -> bytes:

@@ -9,7 +9,10 @@ Each test here pins one of the fixed defects in place:
   executor — admission control under-counted real load, and the
   abandoned future's exception was never retrieved;
 * unmatched request paths minted one ``http_requests_total`` label per
-  raw URL, so a scanner could grow registry memory without bound;
+  raw URL, so a scanner could grow registry memory without bound, and
+  a non-chat request with a bad JSON body was never counted at all;
+* a route table that captured its handlers at import would bypass
+  methods patched on the class afterwards;
 * ``classify_batch`` falling through ``_TimingClassifier.__getattr__``
   untimed, silently blanking ``classifier_latency_seconds`` for
   batching callers.
@@ -17,15 +20,18 @@ Each test here pins one of the fixed defects in place:
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import threading
 import time
 
 import pytest
 
-from repro.serving import MetricsRegistry, ServingError
+from repro.persistence.router import SessionRouter
+from repro.serving import AsyncConversationServer, MetricsRegistry, ServingError
 from repro.serving.server import ConversationApp, _TimingClassifier
-from tests.serving.conftest import build_toy_agent
+from tests.serving.conftest import build_toy_agent, http_json
 
 
 def _wait_until(predicate, timeout: float = 10.0) -> bool:
@@ -191,6 +197,70 @@ class TestMetricLabelCardinality:
             )
         finally:
             app.close(drain_timeout=10.0)
+
+
+    def test_bad_json_bodies_count_as_requests(self):
+        # Every request is counted once, before its body is decoded: a
+        # bad body on a chat route and on a non-chat route alike.
+        with AsyncConversationServer(
+            build_toy_agent(), port=0, max_workers=2
+        ) as server:
+            for path in ("/chat", "/feedback"):
+                connection = http.client.HTTPConnection(
+                    server.host, server.port, timeout=15.0
+                )
+                try:
+                    connection.request("POST", path, body=b"not json")
+                    response = connection.getresponse()
+                    assert response.status == 400
+                    assert json.loads(response.read())["error"] == "bad_json"
+                finally:
+                    connection.close()
+            text = server.app.metrics.render()
+        assert 'http_requests_total{route="POST /chat"} 1' in text
+        assert 'http_requests_total{route="POST /feedback"} 1' in text
+        assert 'http_errors_total{code="bad_json"} 2' in text
+
+
+class TestRouteTablesSeeClassPatches:
+    """Tables are built per instance from bound methods, so a method
+    patched on the class after import (as the benchmark's tracer does)
+    is the one a routed request calls."""
+
+    def test_app_turn_patch_is_called(self, monkeypatch):
+        calls = []
+        original = ConversationApp._turn
+
+        def traced(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConversationApp, "_turn", traced)
+        with AsyncConversationServer(
+            build_toy_agent(), port=0, max_workers=2
+        ) as server:
+            status, body = http_json(
+                server.address + "/chat", {"utterance": "dosage for Aspirin"}
+            )
+        assert status == 200
+        assert calls == [body["session_id"]]
+
+    def test_router_forward_patch_is_called(self, monkeypatch, tmp_path):
+        calls = []
+
+        def traced(self, request):
+            calls.append((request.method, request.path))
+            return 200, b'{"patched": true}', "application/json"
+
+        monkeypatch.setattr(SessionRouter, "_launch", lambda self, h: 0.0)
+        monkeypatch.setattr(SessionRouter, "_await_ready", lambda self, l: [])
+        monkeypatch.setattr(SessionRouter, "forward", traced)
+        with SessionRouter(1, tmp_path, port=0, health_interval=60.0) as router:
+            status, body = http_json(
+                router.address + "/chat", {"utterance": "hi"}
+            )
+        assert (status, body) == (200, {"patched": True})
+        assert calls == [("POST", "/chat")]
 
 
 class TestTimingClassifierBatch:

@@ -428,7 +428,7 @@ class TestServeRouterCommand:
     FORWARDED = (
         "space", "data", "name", "domain", "session_ttl", "max_sessions",
         "cache_size", "turn_threads", "request_timeout", "fsync",
-        "snapshot_every", "rate_limit", "rate_burst", "accept_queue",
+        "snapshot_every", "rate_limit", "rate_burst",
     )
 
     def test_worker_args_round_trip_through_the_parser(
@@ -442,7 +442,7 @@ class TestServeRouterCommand:
             "--cache-size", "32", "--turn-threads", "4",
             "--request-timeout", "5", "--fsync", "never",
             "--snapshot-every", "8", "--rate-limit", "2.5",
-            "--rate-burst", "3", "--accept-queue", "9",
+            "--rate-burst", "3",
         ])
         assert cmd_serve(args, output_fn=lambda line: None,
                          run_forever=False) == 0
