@@ -127,7 +127,7 @@ def test_analysis_cost_trajectory(full_space, report):
     # P003 (ephemeral per-statement objects, generation-invalidated
     # memos, observability counters) carried in .repro-baseline.
     assert sorted({d.code for d in purity_findings}) == ["P003"]
-    assert len(purity_findings) == 11
+    assert len(purity_findings) == 10
     assert audit_seconds < AUDIT_BUDGET_SECONDS
     assert model_seconds < MODEL_BUDGET_SECONDS
     assert race_seconds < RACE_BUDGET_SECONDS

@@ -8,8 +8,9 @@ Five layers share one diagnostic framework (``repro check`` / ``lint`` /
   entities) against the ontology and the KB schema — at build time, not
   in front of a user;
 * :mod:`repro.analysis.type_checker` does typed symbolic evaluation over
-  each template's parsed SQL AST against KB column types and value
-  statistics (T001–T008);
+  each template's bound SQL against KB column types and value
+  statistics (T001–T008) — both layers read the one bound query
+  :func:`~repro.kb.sql.binder.bind` builds per template;
 * :mod:`repro.analysis.ambiguity` measures conversation separability —
   duplicate/near-duplicate cross-intent utterances, cross-entity synonym
   collisions, shadowed templates, stray elicitations (A001–A005);
@@ -68,12 +69,13 @@ from repro.analysis.race import (
     check_race_paths,
     check_race_sources,
 )
-from repro.analysis.space_checker import SpaceArtifacts, build_artifacts, check_space
-from repro.analysis.type_checker import (
-    check_space_types,
-    check_template_types,
-    check_types,
+from repro.analysis.space_checker import (
+    SpaceArtifacts,
+    build_artifacts,
+    check_artifacts,
+    check_space,
 )
+from repro.analysis.type_checker import check_space_types, check_types
 
 __all__ = [
     "AmbiguityConfig",
@@ -102,8 +104,8 @@ __all__ = [
     "check_race_sources",
     "SpaceArtifacts",
     "build_artifacts",
+    "check_artifacts",
     "check_space",
     "check_space_types",
-    "check_template_types",
     "check_types",
 ]

@@ -37,7 +37,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector, Location
-from repro.analysis.space_checker import SpaceArtifacts, build_artifacts
+from repro.analysis.space_checker import (
+    SpaceArtifacts,
+    artifact_failure,
+    build_artifacts,
+)
 from repro.bootstrap.space import ConversationSpace
 from repro.errors import ReproError
 
@@ -300,15 +304,8 @@ def check_space_ambiguity(
     """Convenience wrapper: derive artifacts, then run :func:`check_ambiguity`."""
     if database is None:
         database = space.database
-    out = DiagnosticCollector()
     try:
         artifacts = build_artifacts(space, database, logic_table=logic_table)
     except ReproError as exc:
-        out.error(
-            "A001",
-            f"artifact generation failed: {exc}",
-            Location(path="space:space", symbol=space.ontology.name),
-            rule="duplicate-training-example",
-        )
-        return out.sorted()
+        return [artifact_failure("A001", exc, space)]
     return check_ambiguity(artifacts, config)

@@ -517,8 +517,18 @@ class RaceAnalysis:
             if not function.name.startswith(prefix):
                 continue
             appends = sorted(
-                e.line for e in function.io_events
-                if e.kind == "commit_append"
+                [e.line for e in function.io_events if e.kind == "commit_append"]
+                + [
+                    # A same-class helper that appends is the commit point.
+                    call.line for call in function.calls
+                    if call.callee is not None
+                    and function.class_model is not None
+                    and call.callee.class_model is function.class_model
+                    and any(
+                        e.kind == "commit_append"
+                        for e in call.callee.io_events
+                    )
+                ]
             )
             if not appends:
                 out.error(

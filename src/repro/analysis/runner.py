@@ -31,7 +31,11 @@ from repro.analysis.diagnostics import (
 from repro.analysis.model import ProjectModel, build_model
 from repro.analysis.purity import PurityConfig, analyze_purity_model
 from repro.analysis.race import RaceConfig, analyze_model
-from repro.analysis.space_checker import build_artifacts, check_space
+from repro.analysis.space_checker import (
+    artifact_failure,
+    build_artifacts,
+    check_artifacts,
+)
 from repro.analysis.type_checker import check_types
 from repro.errors import ReproError
 
@@ -140,41 +144,40 @@ def _ambiguity_config(args: argparse.Namespace) -> AmbiguityConfig:
     return AmbiguityConfig(near_duplicate_threshold=threshold)
 
 
-def _audit_diagnostics(
-    space, database, config: AmbiguityConfig
+def _space_diagnostics(
+    space, database, args: argparse.Namespace, *, check: bool, audit: bool
 ) -> tuple[list[Diagnostic], int]:
-    """The semantic layers: typed symbolic evaluation + ambiguity.
+    """The conversation-space layers over one artifact build.
 
-    Returns the findings plus the number of templates walked (for the
-    report header).
+    ``check`` runs the structural layer (C codes), ``audit`` the
+    semantic ones (typed symbolic evaluation + ambiguity); every
+    template is parsed and bound once, in :func:`build_artifacts`, for
+    all of them.  Returns the findings plus the number of templates
+    walked (for the report header).
     """
     try:
         artifacts = build_artifacts(space, database)
     except ReproError as exc:
-        out = DiagnosticCollector()
-        out.error(
-            "T001",
-            f"artifact generation failed: {exc}",
-            Location(path="space:space", symbol=space.ontology.name),
-            rule="type-mismatch",
-        )
-        return out.sorted(), 0
-    diagnostics = sorted(
-        check_types(artifacts) + check_ambiguity(artifacts, config),
-        key=sort_key,
+        codes = (("C012",) if check else ()) + (("T001",) if audit else ())
+        return [artifact_failure(code, exc, space) for code in codes], 0
+    diagnostics = check_artifacts(artifacts) if check else []
+    if audit:
+        diagnostics += check_types(artifacts)
+        diagnostics += check_ambiguity(artifacts, _ambiguity_config(args))
+    return (
+        sorted(diagnostics, key=sort_key),
+        sum(len(t) for t in artifacts.templates.values()),
     )
-    return diagnostics, sum(len(t) for t in artifacts.templates.values())
 
 
 def cmd_check(args: argparse.Namespace, output_fn=print) -> int:
     """Validate the conversation space without executing a query."""
     started = time.perf_counter()
     space, database = _build_space(args)
-    diagnostics = check_space(space, database)
     deep = getattr(args, "deep", False)
-    if deep:
-        audit, _ = _audit_diagnostics(space, database, _ambiguity_config(args))
-        diagnostics = sorted(diagnostics + audit, key=sort_key)
+    diagnostics, _ = _space_diagnostics(
+        space, database, args, check=True, audit=deep
+    )
     baseline = _load_baseline(args)
     elapsed = time.perf_counter() - started
     header = (
@@ -290,8 +293,8 @@ def cmd_audit(args: argparse.Namespace, output_fn=print) -> int:
     """Run the semantic audit: SQL type/dataflow + conversation ambiguity."""
     started = time.perf_counter()
     space, database = _build_space(args)
-    diagnostics, template_count = _audit_diagnostics(
-        space, database, _ambiguity_config(args)
+    diagnostics, template_count = _space_diagnostics(
+        space, database, args, check=False, audit=True
     )
     baseline = _load_baseline(args)
     elapsed = time.perf_counter() - started
@@ -309,9 +312,9 @@ def cmd_audit(args: argparse.Namespace, output_fn=print) -> int:
 def _all_diagnostics(args: argparse.Namespace) -> list[Diagnostic]:
     """Every finding the analysis commands can produce, for ``baseline``."""
     space, database = _build_space(args)
-    diagnostics = check_space(space, database)
-    audit, _ = _audit_diagnostics(space, database, _ambiguity_config(args))
-    diagnostics += audit
+    diagnostics, _ = _space_diagnostics(
+        space, database, args, check=True, audit=True
+    )
     lint_root = Path("src/repro")
     if lint_root.exists():
         diagnostics += lint_model(build_model([lint_root]), deep=True)

@@ -5,7 +5,8 @@ intents, entities, parameterized SQL templates and the dialogue logic
 table — so a single stale concept name or unbound template parameter
 silently produces wrong dialogues at serve time.  ``repro check`` makes
 that a compile-time failure: every template's SQL is parsed with the
-real :mod:`repro.kb.sql` parser and resolved against the KB schema,
+real :mod:`repro.kb.sql` parser and bound against the KB schema by the
+executor's own binder (:func:`repro.kb.sql.binder.bind`),
 every logic-table row is cross-checked against the intents, entities
 and templates it references, and the generated dialogue tree is swept
 for unreachable nodes — all without executing a single query.
@@ -45,9 +46,16 @@ from repro.dialogue.logic_table import (
 )
 from repro.dialogue.management import MANAGEMENT_RESPONSES
 from repro.dialogue.tree import DialogueNode, build_dialogue_tree
-from repro.errors import NLQError, ReproError, SQLSyntaxError, TemplateError
+from repro.errors import (
+    NLQError,
+    ReproError,
+    SQLSyntaxError,
+    TemplateError,
+    UnknownTableError,
+)
 from repro.kb.database import Database
 from repro.kb.sql import ast as sql_ast
+from repro.kb.sql.binder import BindFailure, BoundSelect, bind
 from repro.kb.sql.parser import parse as parse_sql
 from repro.nlq.templates import StructuredQueryTemplate, templates_for_intent
 
@@ -74,6 +82,9 @@ class SpaceArtifacts:
     skips classifier training, so checking stays fast and side-effect
     free.  Template-generation failures are recorded per intent instead
     of raised, so one broken intent does not hide findings in others.
+    Each distinct template SQL is parsed and bound once, here, for
+    every checker layer: ``queries`` maps it to its bound query (every
+    binding failure collected) or to its syntax error.
     """
 
     space: ConversationSpace
@@ -81,6 +92,7 @@ class SpaceArtifacts:
     logic_table: DialogueLogicTable
     templates: dict[str, list[StructuredQueryTemplate]]
     template_failures: dict[str, str] = field(default_factory=dict)
+    queries: dict[str, BoundSelect | SQLSyntaxError] = field(default_factory=dict)
 
 
 def build_artifacts(
@@ -106,12 +118,23 @@ def build_artifacts(
         except (NLQError, TemplateError) as exc:
             templates[intent.name] = []
             failures[intent.name] = str(exc)
+    schemas = database.schema() if database is not None else {}
+    queries: dict[str, BoundSelect | SQLSyntaxError] = {}
+    for template in (t for group in templates.values() for t in group):
+        if template.sql not in queries:
+            try:
+                select = parse_sql(template.sql)
+            except SQLSyntaxError as exc:
+                queries[template.sql] = exc
+            else:
+                queries[template.sql] = bind(select, schemas, collect=True)
     return SpaceArtifacts(
         space=space,
         database=database,
         logic_table=logic_table,
         templates=templates,
         template_failures=failures,
+        queries=queries,
     )
 
 
@@ -120,43 +143,33 @@ def build_artifacts(
 # ---------------------------------------------------------------------------
 
 
-def _iter_column_refs(select: sql_ast.Select):
-    """Yield every ColumnRef in a parsed SELECT (projection, joins,
-    WHERE, GROUP BY, ORDER BY)."""
-
-    def walk_expr(node):
-        if isinstance(node, sql_ast.ColumnRef):
-            yield node
-        elif isinstance(node, (sql_ast.And, sql_ast.Or, sql_ast.Comparison)):
-            yield from walk_expr(node.left)
-            yield from walk_expr(node.right)
-        elif isinstance(node, sql_ast.Not):
-            yield from walk_expr(node.operand)
-        elif isinstance(node, sql_ast.LikePredicate):
-            yield from walk_expr(node.operand)
-            yield from walk_expr(node.pattern)
-        elif isinstance(node, sql_ast.InPredicate):
-            yield from walk_expr(node.operand)
-            for value in node.values:
-                yield from walk_expr(value)
-        elif isinstance(node, sql_ast.IsNullPredicate):
-            yield from walk_expr(node.operand)
-
-    for item in select.items:
-        if isinstance(item.expression, sql_ast.ColumnRef):
-            yield item.expression
-        elif (
-            isinstance(item.expression, sql_ast.Aggregate)
-            and item.expression.argument is not None
-        ):
-            yield item.expression.argument
-    for join in select.joins:
-        yield from walk_expr(join.condition)
-    if select.where is not None:
-        yield from walk_expr(select.where)
-    yield from select.group_by
-    for order in select.order_by:
-        yield order.column
+def _failure_message(failure: BindFailure) -> tuple[str, str]:
+    """(code, message) for one reference the binder could not resolve."""
+    ref, owners = failure.ref, failure.owners
+    if isinstance(ref, sql_ast.TableRef):
+        if isinstance(failure.error, UnknownTableError):
+            return "C002", f"template SQL references unknown table {ref.table!r}"
+        return "C002", f"template SQL binds {ref.binding!r} to two tables"
+    if ref.table is not None:
+        if owners:
+            return "C003", (
+                f"table {owners[0].ref.table!r} has no column "
+                f"{ref.column!r} (referenced as {ref})"
+            )
+        return "C003", (
+            f"column {ref} references undeclared table alias {ref.table!r}"
+        )
+    if not owners:
+        return "C003", f"no table in scope has column {ref.column!r}"
+    tables = [owner.ref.table for owner in owners]
+    labels = [
+        table if tables.count(table) == 1 else f"{table} AS {owner.ref.binding}"
+        for table, owner in zip(tables, owners)
+    ]
+    return "C003", (
+        f"unqualified column {ref.column!r} is ambiguous between tables "
+        f"{', '.join(sorted(labels))}"
+    )
 
 
 def _check_template_sql(
@@ -164,72 +177,21 @@ def _check_template_sql(
     artifacts: SpaceArtifacts,
     out: DiagnosticCollector,
 ) -> None:
-    """Parse one template's SQL and resolve it against the KB schema."""
+    """Report one template's parse and binding failures."""
     location = _loc("template", template.intent_name)
-    try:
-        select = parse_sql(template.sql)
-    except SQLSyntaxError as exc:
-        out.error("C001", f"template SQL does not parse: {exc}", location,
+    bound = artifacts.queries[template.sql]
+    if isinstance(bound, SQLSyntaxError):
+        out.error("C001", f"template SQL does not parse: {bound}", location,
                   rule="sql-syntax")
         return
 
-    database = artifacts.database
-    scope: dict[str, str] = {}
-    for ref in (select.source, *(join.table for join in select.joins)):
-        if database is not None and not database.has_table(ref.table):
-            out.error(
-                "C002",
-                f"template SQL references unknown table {ref.table!r}",
-                location,
-                rule="unknown-table",
-            )
-        else:
-            scope[ref.binding.lower()] = ref.table
+    if artifacts.database is not None:
+        for failure in bound.failures:
+            code, message = _failure_message(failure)
+            rule = "unknown-table" if code == "C002" else "unknown-column"
+            out.error(code, message, location, rule=rule)
 
-    if database is not None:
-        for col in _iter_column_refs(select):
-            if col.table is not None:
-                table = scope.get(col.table.lower())
-                if table is None:
-                    out.error(
-                        "C003",
-                        f"column {col} references undeclared table alias "
-                        f"{col.table!r}",
-                        location,
-                        rule="unknown-column",
-                    )
-                elif not database.table(table).schema.has_column(col.column):
-                    out.error(
-                        "C003",
-                        f"table {table!r} has no column {col.column!r} "
-                        f"(referenced as {col})",
-                        location,
-                        rule="unknown-column",
-                    )
-            else:
-                owners = [
-                    table
-                    for table in dict.fromkeys(scope.values())
-                    if database.has_table(table)
-                    and database.table(table).schema.has_column(col.column)
-                ]
-                if not owners:
-                    out.error(
-                        "C003",
-                        f"no table in scope has column {col.column!r}",
-                        location,
-                        rule="unknown-column",
-                    )
-                elif len(owners) > 1:
-                    out.error(
-                        "C003",
-                        f"unqualified column {col.column!r} is ambiguous "
-                        f"between tables {', '.join(sorted(owners))}",
-                        location,
-                        rule="unknown-column",
-                    )
-
-    sql_params = set(select.parameters())
+    sql_params = set(bound.select.parameters())
     declared = set(template.parameters)
     for name in sorted(sql_params - declared):
         out.error(
@@ -564,6 +526,42 @@ def _check_synonyms(artifacts: SpaceArtifacts, out: DiagnosticCollector) -> None
 # ---------------------------------------------------------------------------
 
 
+#: The rule each layer files an artifact-build failure under.
+_BUILD_FAILURE_RULES = {
+    "C012": "row-without-intent",
+    "T001": "type-mismatch",
+    "A001": "duplicate-training-example",
+}
+
+
+def artifact_failure(
+    code: str, exc: ReproError, space: ConversationSpace
+) -> Diagnostic:
+    """The one finding a layer reports when the artifacts cannot be built."""
+    return DiagnosticCollector().error(
+        code,
+        f"artifact generation failed: {exc}",
+        _loc("space", space.ontology.name),
+        rule=_BUILD_FAILURE_RULES[code],
+    )
+
+
+def check_artifacts(artifacts: SpaceArtifacts) -> list[Diagnostic]:
+    """Every conversation-space check over already-built artifacts."""
+    out = DiagnosticCollector()
+    for templates in artifacts.templates.values():
+        for template in templates:
+            _check_template_sql(template, artifacts, out)
+            _check_template_concepts(template, artifacts, out)
+    _check_intent_templates(artifacts, out)
+    for row in artifacts.logic_table.rows:
+        _check_row(row, artifacts, out)
+    _check_row_coverage(artifacts, out)
+    _check_tree(artifacts, out)
+    _check_synonyms(artifacts, out)
+    return out.sorted()
+
+
 def check_space(
     space: ConversationSpace,
     database: Database | None = None,
@@ -577,26 +575,8 @@ def check_space(
     """
     if database is None:
         database = space.database
-    out = DiagnosticCollector()
     try:
         artifacts = build_artifacts(space, database, logic_table=logic_table)
     except ReproError as exc:
-        out.error(
-            "C012",
-            f"artifact generation failed: {exc}",
-            _loc("space", space.ontology.name),
-            rule="row-without-intent",
-        )
-        return out.sorted()
-
-    for templates in artifacts.templates.values():
-        for template in templates:
-            _check_template_sql(template, artifacts, out)
-            _check_template_concepts(template, artifacts, out)
-    _check_intent_templates(artifacts, out)
-    for row in artifacts.logic_table.rows:
-        _check_row(row, artifacts, out)
-    _check_row_coverage(artifacts, out)
-    _check_tree(artifacts, out)
-    _check_synonyms(artifacts, out)
-    return out.sorted()
+        return [artifact_failure("C012", exc, space)]
+    return check_artifacts(artifacts)

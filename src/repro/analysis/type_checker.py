@@ -9,12 +9,14 @@ join whose condition never links the joined table (cartesian fan-out), a
 a filter that no KB row can ever satisfy.  Athena-style ontology-to-SQL
 systems catch these classes while interpreting a query; ``repro audit``
 catches them at build time by walking each
-:class:`~repro.nlq.templates.StructuredQueryTemplate`'s parsed AST with
-a *typed symbolic evaluator*: every expression is assigned a
-:class:`~repro.kb.types.DataType` (columns from the KB schema,
-parameters from the ontology property they fill from, literals from
-their Python type) and every predicate is checked for type agreement and
-— using :mod:`repro.kb.statistics` value envelopes — satisfiability.
+:class:`~repro.nlq.templates.StructuredQueryTemplate`'s bound query
+(parsed and bound once by :func:`~repro.analysis.space_checker.build_artifacts`)
+with a *typed symbolic evaluator*: every expression is assigned a
+:class:`~repro.kb.types.DataType` (columns by the binder from the KB
+schema, parameters from the ontology property they fill from, literals
+from their Python type) and every predicate is checked for type
+agreement and — using :mod:`repro.kb.statistics` value envelopes —
+satisfiability.
 
 Diagnostic codes
 ----------------
@@ -41,12 +43,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector, Location
-from repro.analysis.space_checker import SpaceArtifacts, build_artifacts
+from repro.analysis.space_checker import (
+    SpaceArtifacts,
+    artifact_failure,
+    build_artifacts,
+)
 from repro.bootstrap.space import ConversationSpace
 from repro.errors import ReproError, SQLSyntaxError
 from repro.kb.database import Database
 from repro.kb.sql import ast as sql_ast
-from repro.kb.sql.parser import parse as parse_sql
+from repro.kb.sql.binder import BoundColumn, comparable, is_grouped, operand_type
 from repro.kb.statistics import ColumnStatistics, TableStatistics
 from repro.kb.types import DataType
 from repro.nlq.templates import StructuredQueryTemplate
@@ -61,29 +67,6 @@ _ORDERING_OPS = {"<", ">", "<=", ">="}
 
 def _loc(name: str) -> Location:
     return Location(path="space:template", symbol=name)
-
-
-def _literal_type(value) -> DataType | None:
-    """The DataType of a SQL literal (None for NULL)."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return DataType.BOOLEAN
-    if isinstance(value, int):
-        return DataType.INTEGER
-    if isinstance(value, float):
-        return DataType.FLOAT
-    if isinstance(value, str):
-        return DataType.TEXT
-    return None
-
-
-def _compatible(left: DataType, right: DataType) -> bool:
-    """Whether two types can meaningfully compare (numeric widening ok)."""
-    numeric = (DataType.INTEGER, DataType.FLOAT)
-    if left in numeric and right in numeric:
-        return True
-    return left is right
 
 
 def _describe(expr) -> str:
@@ -102,9 +85,8 @@ class _TemplateScope:
     """Everything the evaluator knows about one template's query."""
 
     template: StructuredQueryTemplate
+    #: the bound query: resolved columns are BoundColumns
     select: sql_ast.Select
-    #: binding (lowercased alias or table name) -> real table name
-    tables: dict[str, str]
     database: Database | None
     ontology: Ontology
     statistics: dict[str, TableStatistics]
@@ -115,41 +97,20 @@ class _TemplateScope:
 
     # -- resolution -------------------------------------------------------
 
-    def resolve_column(self, ref: sql_ast.ColumnRef) -> ColumnStatistics | None:
-        """Statistics for a column reference, or None when unresolvable.
+    def column_statistics(self, expr) -> ColumnStatistics | None:
+        """Statistics for a bound column, or None for anything else.
 
-        Unresolvable references (unknown alias/column/ambiguity) are
-        layer-1 territory (C003) and are silently skipped here.
+        References the binder could not resolve (unknown alias or
+        column, ambiguity) are layer-1 territory (C003) and are
+        silently skipped here.
         """
-        if self.database is None:
+        if not isinstance(expr, BoundColumn) or self.database is None:
             return None
-        if ref.table is not None:
-            table = self.tables.get(ref.table.lower())
-            candidates = [table] if table else []
-        else:
-            candidates = [
-                table
-                for table in dict.fromkeys(self.tables.values())
-                if self.database.table(table).schema.has_column(ref.column)
-            ]
-            if len(candidates) != 1:
-                return None
-        for table in candidates:
-            if table is None or not self.database.has_table(table):
-                return None
-            schema = self.database.table(table).schema
-            if not schema.has_column(ref.column):
-                return None
-            stats = self.statistics.get(table.lower())
-            if stats is None:
-                stats = self.database.statistics(table)
-                self.statistics[table.lower()] = stats
-            return stats.column(ref.column)
-        return None
-
-    def column_type(self, ref: sql_ast.ColumnRef) -> DataType | None:
-        stats = self.resolve_column(ref)
-        return stats.data_type if stats else None
+        stats = self.statistics.get(expr.table_name.lower())
+        if stats is None:
+            stats = self.database.statistics(expr.table_name)
+            self.statistics[expr.table_name.lower()] = stats
+        return stats.column(expr.name)
 
     def parameter_type(self, param: sql_ast.Parameter) -> DataType | None:
         """The ontology-declared type of the concept filling ``param``.
@@ -169,13 +130,9 @@ class _TemplateScope:
         return prop.data_type if prop else None
 
     def operand_type(self, expr) -> DataType | None:
-        if isinstance(expr, sql_ast.Literal):
-            return _literal_type(expr.value)
-        if isinstance(expr, sql_ast.ColumnRef):
-            return self.column_type(expr)
         if isinstance(expr, sql_ast.Parameter):
             return self.parameter_type(expr)
-        return None
+        return operand_type(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +178,7 @@ def _check_operand_pair(scope: _TemplateScope, left, right, op: str) -> bool:
     right_type = scope.operand_type(right)
     if left_type is None or right_type is None:
         return True  # unresolvable operands are layer-1 findings
-    if _compatible(left_type, right_type):
+    if comparable(left_type, right_type):
         return True
     # A parameter on either side makes this an ontology/KB disagreement.
     if isinstance(left, sql_ast.Parameter) or isinstance(right, sql_ast.Parameter):
@@ -296,7 +253,7 @@ def _check_is_null(
 ) -> None:
     if negated_context or not isinstance(pred.operand, sql_ast.ColumnRef):
         return
-    stats = scope.resolve_column(pred.operand)
+    stats = scope.column_statistics(pred.operand)
     if stats is None or stats.row_count == 0:
         return
     if stats.null_count == 0:
@@ -342,7 +299,7 @@ def _check_satisfiability(scope: _TemplateScope, cmp: sql_ast.Comparison) -> Non
         return
     if literal.value is None:
         return
-    stats = scope.resolve_column(column)
+    stats = scope.column_statistics(column)
     if stats is None or stats.row_count == 0:
         return
     non_null = stats.row_count - stats.null_count
@@ -456,14 +413,6 @@ def _check_joins(scope: _TemplateScope) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _group_by_keys(scope: _TemplateScope) -> set[tuple[str, str]]:
-    keys = set()
-    for col in scope.select.group_by:
-        keys.add(((col.table or "").lower(), col.column.lower()))
-        keys.add(("", col.column.lower()))  # allow qualified/unqualified mix
-    return keys
-
-
 def _check_shape(scope: _TemplateScope) -> None:
     select = scope.select
     if select.limit is not None and not select.order_by:
@@ -475,20 +424,14 @@ def _check_shape(scope: _TemplateScope) -> None:
             rule="limit-without-order-by",
         )
 
-    has_aggregate = any(
-        isinstance(item.expression, sql_ast.Aggregate) for item in select.items
-    )
-    grouped = bool(select.group_by)
-    keys = _group_by_keys(scope)
-    if has_aggregate or grouped:
+    if is_grouped(select):
+        # Matched by column name, so a qualified/unqualified mix passes.
+        grouped_names = {col.column.lower() for col in select.group_by}
         for item in select.items:
             expr = item.expression
             if not isinstance(expr, sql_ast.ColumnRef):
                 continue
-            if ((expr.table or "").lower(), expr.column.lower()) in keys or (
-                "",
-                expr.column.lower(),
-            ) in keys:
+            if expr.column.lower() in grouped_names:
                 continue
             scope.out.error(
                 "T008",
@@ -504,7 +447,7 @@ def _check_shape(scope: _TemplateScope) -> None:
             and expr.function.upper() in _NUMERIC_AGGREGATES
             and expr.argument is not None
         ):
-            arg_type = scope.column_type(expr.argument)
+            arg_type = operand_type(expr.argument)
             if arg_type in (DataType.TEXT, DataType.BOOLEAN):
                 scope.out.error(
                     "T008",
@@ -538,58 +481,35 @@ def _check_parameter_flow(scope: _TemplateScope) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_template_types(
-    template: StructuredQueryTemplate,
-    ontology: Ontology,
-    database: Database | None,
-    out: DiagnosticCollector,
-    statistics: dict[str, TableStatistics] | None = None,
-) -> None:
-    """Run the typed symbolic evaluation over one template.
+def check_types(artifacts: SpaceArtifacts) -> list[Diagnostic]:
+    """Typed symbolic evaluation over every template of a space.
 
     Templates whose SQL does not parse are skipped — that is layer 1's
-    C001.  ``statistics`` is a per-table cache shared across templates.
+    C001.
     """
-    try:
-        select = parse_sql(template.sql)
-    except SQLSyntaxError:
-        return
-    tables: dict[str, str] = {}
-    for ref in (select.source, *(join.table for join in select.joins)):
-        if database is None or database.has_table(ref.table):
-            tables[ref.binding.lower()] = ref.table
-    scope = _TemplateScope(
-        template=template,
-        select=select,
-        tables=tables,
-        database=database,
-        ontology=ontology,
-        statistics=statistics if statistics is not None else {},
-        out=out,
-        location=_loc(template.intent_name),
-    )
-    for join in select.joins:
-        _walk_predicates(scope, join.condition, negated_context=False)
-    if select.where is not None:
-        _walk_predicates(scope, select.where, negated_context=False)
-    _check_joins(scope)
-    _check_shape(scope)
-    _check_parameter_flow(scope)
-
-
-def check_types(artifacts: SpaceArtifacts) -> list[Diagnostic]:
-    """Typed symbolic evaluation over every template of a space."""
     out = DiagnosticCollector()
     statistics: dict[str, TableStatistics] = {}
     for templates in artifacts.templates.values():
         for template in templates:
-            check_template_types(
-                template,
-                artifacts.space.ontology,
-                artifacts.database,
-                out,
+            bound = artifacts.queries[template.sql]
+            if isinstance(bound, SQLSyntaxError):
+                continue
+            scope = _TemplateScope(
+                template=template,
+                select=bound.select,
+                database=artifacts.database,
+                ontology=artifacts.space.ontology,
                 statistics=statistics,
+                out=out,
+                location=_loc(template.intent_name),
             )
+            for join in scope.select.joins:
+                _walk_predicates(scope, join.condition, negated_context=False)
+            if scope.select.where is not None:
+                _walk_predicates(scope, scope.select.where, negated_context=False)
+            _check_joins(scope)
+            _check_shape(scope)
+            _check_parameter_flow(scope)
     return out.sorted()
 
 
@@ -599,15 +519,8 @@ def check_space_types(
     """Convenience wrapper: derive artifacts, then run :func:`check_types`."""
     if database is None:
         database = space.database
-    out = DiagnosticCollector()
     try:
         artifacts = build_artifacts(space, database)
     except ReproError as exc:
-        out.error(
-            "T001",
-            f"artifact generation failed: {exc}",
-            Location(path="space:space", symbol=space.ontology.name),
-            rule="type-mismatch",
-        )
-        return out.sorted()
+        return [artifact_failure("T001", exc, space)]
     return check_types(artifacts)

@@ -17,8 +17,8 @@ class Database:
 
     A :class:`Database` owns a set of :class:`~repro.kb.table.Table` objects,
     enforces foreign keys on insert, computes the statistics that the
-    ontology-generation step consumes, and executes SQL via
-    :func:`repro.kb.sql.execute`.
+    ontology-generation step consumes, and executes SQL through compiled
+    plans (:meth:`prepare`).
 
     It is also the reference implementation of the
     :class:`~repro.kb.backend.KBBackend` protocol (``backend_name ==

@@ -13,13 +13,16 @@ templates (Figure 9) and the surrounding tooling::
 
 with named parameters written ``:name`` (the template layer binds these).
 
-Execution is split in two layers: :mod:`repro.kb.sql.planner` compiles a
-parsed SELECT into a reusable :class:`CompiledPlan` (join strategy,
-secondary-index pushdown), while :mod:`repro.kb.sql.executor` holds the
-row-at-a-time evaluation primitives and a one-shot :func:`execute`.
+Execution is split in three layers: :func:`bind` resolves and types
+every column reference of a parsed SELECT once (the planner, the SQLite
+lowerer and both template checkers read its result),
+:mod:`repro.kb.sql.planner` compiles the bound SELECT into a reusable
+:class:`CompiledPlan` (join strategy, secondary-index pushdown), and
+:mod:`repro.kb.sql.executor` holds the row-at-a-time evaluation
+primitives.
 """
 
-from repro.kb.sql.executor import execute
+from repro.kb.sql.binder import bind
 from repro.kb.sql.parser import parse
 from repro.kb.sql.planner import CompiledPlan, PlanCache, QueryPlan, compile_plan
 from repro.kb.sql.result import ResultSet
@@ -29,7 +32,7 @@ __all__ = [
     "PlanCache",
     "QueryPlan",
     "ResultSet",
+    "bind",
     "compile_plan",
-    "execute",
     "parse",
 ]

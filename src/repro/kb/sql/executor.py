@@ -1,19 +1,10 @@
-"""SQL evaluation primitives: scopes, predicates, aggregates, projection.
+"""SQL evaluation primitives: predicates, aggregates, grouping.
 
-This module holds the row-at-a-time *evaluation* layer of the SQL
-engine; *planning* (join strategy, index selection, predicate pushdown)
-lives in :mod:`repro.kb.sql.planner`, which compiles a parsed SELECT
-into a reusable :class:`~repro.kb.sql.planner.CompiledPlan`.  The
-:func:`execute` entry point here compiles and runs in one shot for
-callers that do not need plan reuse.
-
-The evaluation semantics are intentionally simple and predictable:
-
-* FROM/JOIN build an intermediate row list; equality joins use a hash
-  join on the join key (index-backed when the planner allows it),
-  everything else falls back to a nested loop.
-* WHERE filters, GROUP BY + aggregates reduce, then DISTINCT,
-  ORDER BY, LIMIT/OFFSET shape the output.
+Planning — binding, join strategy, index selection, predicate pushdown
+— lives in :mod:`repro.kb.sql.planner`, which compiles a parsed SELECT
+into a reusable :class:`~repro.kb.sql.planner.CompiledPlan`; the
+functions here evaluate its bound expressions row by row, reading each
+column at the position :func:`~repro.kb.sql.binder.bind` assigned it.
 
 NULL semantics are simplified two-valued logic: any comparison against
 NULL is false (matching what the paper's lookup/relationship templates
@@ -26,86 +17,19 @@ integers on any path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.errors import (
-    AmbiguousColumnError,
-    BindingError,
-    SQLExecutionError,
-    UnknownColumnError,
-)
+from repro.errors import BindingError, SQLExecutionError
 from repro.kb.sql import ast
-from repro.kb.sql.result import ResultSet
+from repro.kb.sql.binder import BoundColumn
 from repro.kb.types import is_comparable, normalize_key
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.kb.database import Database
 
-
-class _Scope:
-    """Maps column references to positions in the combined join row."""
-
-    def __init__(self) -> None:
-        self._bindings: list[str] = []          # binding names, lowering preserved
-        self._widths: list[int] = []
-        self._qualified: dict[tuple[str, str], int] = {}
-        self._unqualified: dict[str, list[int]] = {}
-        self._position_binding: list[str] = []  # row position -> binding name
-        self._memo: dict[ast.ColumnRef, int] = {}
-
-    def add_table(self, binding: str, column_names: list[str]) -> None:
-        base = sum(self._widths)
-        low_binding = binding.lower()
-        if any(b == low_binding for b in self._bindings):
-            raise SQLExecutionError(f"duplicate table binding {binding!r}")
-        self._bindings.append(low_binding)
-        self._widths.append(len(column_names))
-        for offset, col in enumerate(column_names):
-            pos = base + offset
-            self._qualified[(low_binding, col.lower())] = pos
-            self._unqualified.setdefault(col.lower(), []).append(pos)
-            self._position_binding.append(low_binding)
-
-    @property
-    def width(self) -> int:
-        return sum(self._widths)
-
-    def resolve(self, ref: ast.ColumnRef) -> int:
-        """Return the combined-row index for ``ref``.
-
-        An unqualified reference matching columns in more than one
-        registered table raises :class:`AmbiguousColumnError` naming
-        every candidate binding — it is never silently resolved to the
-        first-registered table.
-        """
-        memoized = self._memo.get(ref)
-        if memoized is not None:
-            return memoized
-        if ref.table is not None:
-            key = (ref.table.lower(), ref.column.lower())
-            if key not in self._qualified:
-                raise UnknownColumnError(ref.column, table=ref.table)
-            self._memo[ref] = self._qualified[key]
-            return self._qualified[key]
-        positions = self._unqualified.get(ref.column.lower())
-        if not positions:
-            raise UnknownColumnError(ref.column)
-        if len(positions) > 1:
-            candidates = tuple(
-                f"{self._position_binding[pos]}.{ref.column}" for pos in positions
-            )
-            raise AmbiguousColumnError(ref.column, candidates)
-        self._memo[ref] = positions[0]
-        return positions[0]
-
-
-def _eval_operand(
-    node: ast.Expression, row: tuple, scope: _Scope, params: dict[str, Any]
-) -> Any:
+def _eval_operand(node: ast.Expression, row: tuple, params: dict[str, Any]) -> Any:
+    if isinstance(node, BoundColumn):
+        return row[node.position]
     if isinstance(node, ast.Literal):
         return node.value
-    if isinstance(node, ast.ColumnRef):
-        return row[scope.resolve(node)]
     if isinstance(node, ast.Parameter):
         if node.name not in params:
             raise BindingError(f"missing parameter :{node.name}")
@@ -158,22 +82,20 @@ def _wildcard_match(text: str, pattern: str) -> bool:
     return pi == len(pattern)
 
 
-def _eval_predicate(
-    node: ast.Expression, row: tuple, scope: _Scope, params: dict[str, Any]
-) -> bool:
+def _eval_predicate(node: ast.Expression, row: tuple, params: dict[str, Any]) -> bool:
     if isinstance(node, ast.And):
-        return _eval_predicate(node.left, row, scope, params) and _eval_predicate(
-            node.right, row, scope, params
+        return _eval_predicate(node.left, row, params) and _eval_predicate(
+            node.right, row, params
         )
     if isinstance(node, ast.Or):
-        return _eval_predicate(node.left, row, scope, params) or _eval_predicate(
-            node.right, row, scope, params
+        return _eval_predicate(node.left, row, params) or _eval_predicate(
+            node.right, row, params
         )
     if isinstance(node, ast.Not):
-        return not _eval_predicate(node.operand, row, scope, params)
+        return not _eval_predicate(node.operand, row, params)
     if isinstance(node, ast.Comparison):
-        left = _eval_operand(node.left, row, scope, params)
-        right = _eval_operand(node.right, row, scope, params)
+        left = _eval_operand(node.left, row, params)
+        right = _eval_operand(node.right, row, params)
         if node.op == "=":
             return _values_equal(left, right)
         if node.op == "<>":
@@ -196,66 +118,32 @@ def _eval_predicate(
         raise SQLExecutionError(f"unknown comparison operator {node.op!r}")
     if isinstance(node, ast.LikePredicate):
         matched = _like_match(
-            _eval_operand(node.operand, row, scope, params),
-            _eval_operand(node.pattern, row, scope, params),
+            _eval_operand(node.operand, row, params),
+            _eval_operand(node.pattern, row, params),
         )
         return not matched if node.negated else matched
     if isinstance(node, ast.InPredicate):
-        value = _eval_operand(node.operand, row, scope, params)
+        value = _eval_operand(node.operand, row, params)
         found = any(
-            _values_equal(value, _eval_operand(item, row, scope, params))
+            _values_equal(value, _eval_operand(item, row, params))
             for item in node.values
         )
         return not found if node.negated else found
     if isinstance(node, ast.IsNullPredicate):
-        value = _eval_operand(node.operand, row, scope, params)
+        value = _eval_operand(node.operand, row, params)
         return (value is not None) if node.negated else (value is None)
     raise SQLExecutionError(f"cannot evaluate {type(node).__name__} as predicate")
 
 
-def _split_equi_join(
-    condition: ast.Expression, left_scope: _Scope, right_scope: _Scope
-) -> tuple[int, int] | None:
-    """If ``condition`` is ``left.col = right.col``, return their indices.
-
-    Returns (index_into_left_row, index_into_right_row) or None when the
-    condition is not a simple cross-side equality.
-    """
-    if not isinstance(condition, ast.Comparison) or condition.op != "=":
-        return None
-    if not isinstance(condition.left, ast.ColumnRef):
-        return None
-    if not isinstance(condition.right, ast.ColumnRef):
-        return None
-    for first, second in (
-        (condition.left, condition.right),
-        (condition.right, condition.left),
-    ):
-        try:
-            left_idx = left_scope.resolve(first)
-        except (UnknownColumnError, SQLExecutionError):
-            continue
-        try:
-            right_idx = right_scope.resolve(second)
-        except (UnknownColumnError, SQLExecutionError):
-            continue
-        return left_idx, right_idx
-    return None
-
-
-def _norm_key(value: Any) -> Any:
-    return normalize_key(value)
-
-
-def _aggregate_value(agg: ast.Aggregate, rows: list[tuple], scope: _Scope) -> Any:
+def _aggregate_value(agg: ast.Aggregate, rows: list[tuple]) -> Any:
     if agg.argument is None:  # COUNT(*)
         return len(rows)
-    idx = scope.resolve(agg.argument)
+    idx = agg.argument.position
     values = [row[idx] for row in rows if row[idx] is not None]
     if agg.distinct:
         seen: dict[Any, Any] = {}
         for value in values:
-            seen.setdefault(_norm_key(value), value)
+            seen.setdefault(normalize_key(value), value)
         values = list(seen.values())
     func = agg.function
     if func == "COUNT":
@@ -284,104 +172,29 @@ def _sort_key(value: Any) -> tuple:
     return (1, value)
 
 
-def execute(
-    database: "Database",
-    query: str | ast.Select,
-    params: dict[str, Any] | None = None,
-    *,
-    use_indexes: bool = True,
-) -> ResultSet:
-    """Execute ``query`` (SQL text or a parsed Select) against ``database``.
-
-    ``params`` binds named ``:name`` parameters.  Unused parameters are
-    ignored; missing ones raise :class:`~repro.errors.BindingError`.
-
-    This compiles a fresh plan on every call; callers on a hot path
-    should use :meth:`repro.kb.database.Database.prepare`, which caches
-    compiled plans per SQL text.  ``use_indexes=False`` forces the
-    reference full-scan path (used by the differential tests and the
-    executor benchmark) — results are identical either way.
-    """
-    from repro.kb.sql.parser import parse
-    from repro.kb.sql.planner import compile_plan
-
-    select = parse(query) if isinstance(query, str) else query
-    plan = compile_plan(database, select, use_indexes=use_indexes)
-    return plan.execute(params)
-
-
-def _project_plain(
-    select: ast.Select,
+def _group(
     rows: list[tuple],
-    scope: _Scope,
-    database: "Database",
-) -> tuple[list[str], list[tuple]]:
-    if select.is_star():
-        columns: list[str] = []
-        for table_ref in [select.source] + [j.table for j in select.joins]:
-            table = database.table(table_ref.table)
-            columns.extend(table.schema.column_names())
-        return columns, list(rows)
-    indices = []
-    names = []
-    for item in select.items:
-        assert isinstance(item.expression, ast.ColumnRef)
-        indices.append(scope.resolve(item.expression))
-        names.append(item.output_name())
-    projected = [tuple(row[i] for i in indices) for row in rows]
-    return names, projected
+    group_positions: tuple[int, ...],
+    outputs: tuple[int | ast.Aggregate, ...],
+) -> list[tuple]:
+    """Reduce ``rows`` to one output row per group, in first-seen order.
 
-
-def _project_grouped(
-    select: ast.Select, rows: list[tuple], scope: _Scope
-) -> tuple[list[str], list[tuple]]:
-    if select.is_star():
-        raise SQLExecutionError("SELECT * cannot be combined with GROUP BY/aggregates")
-    group_indices = [scope.resolve(col) for col in select.group_by]
-    group_names = {idx for idx in group_indices}
-
-    # Non-aggregate select items must be grouping columns.
-    plan: list[tuple[str, Any]] = []  # ("col", index) or ("agg", Aggregate)
-    names: list[str] = []
-    for item in select.items:
-        names.append(item.output_name())
-        if isinstance(item.expression, ast.Aggregate):
-            plan.append(("agg", item.expression))
-        else:
-            idx = scope.resolve(item.expression)
-            if select.group_by and idx not in group_names:
-                raise SQLExecutionError(
-                    f"column {item.expression} must appear in GROUP BY"
-                )
-            if not select.group_by:
-                raise SQLExecutionError(
-                    f"column {item.expression} mixed with aggregates "
-                    "requires GROUP BY"
-                )
-            plan.append(("col", idx))
-
+    ``outputs`` holds, per projected item, a grouping column's row
+    position or an aggregate (with a bound argument).  Without GROUP BY
+    the whole input is one group.
+    """
     groups: dict[tuple, list[tuple]] = {}
-    if select.group_by:
-        order: list[tuple] = []
+    if group_positions:
         for row in rows:
-            key = tuple(_norm_key(row[i]) for i in group_indices)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        keys = order
+            key = tuple(normalize_key(row[i]) for i in group_positions)
+            groups.setdefault(key, []).append(row)
     else:
-        groups[()] = list(rows)
-        keys = [()]
-
-    out_rows: list[tuple] = []
-    for key in keys:
-        group_rows = groups[key]
-        values = []
-        for kind, payload in plan:
-            if kind == "col":
-                values.append(group_rows[0][payload])
-            else:
-                values.append(_aggregate_value(payload, group_rows, scope))
-        out_rows.append(tuple(values))
-    return names, out_rows
+        groups[()] = rows
+    return [
+        tuple(
+            _aggregate_value(output, group_rows)
+            if isinstance(output, ast.Aggregate) else group_rows[0][output]
+            for output in outputs
+        )
+        for group_rows in groups.values()
+    ]

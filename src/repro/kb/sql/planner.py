@@ -4,7 +4,9 @@ The paper's per-intent structured query templates are executed on every
 conversation turn, so the serving hot path must not re-parse, re-resolve
 or re-plan SQL per request.  :func:`compile_plan` does all of that once:
 
-* validates tables and resolves every column reference up front,
+* binds the query once (:func:`~repro.kb.sql.binder.bind`), so every
+  unknown or ambiguous table/column reference fails at prepare time
+  and every column becomes a precomputed row position,
 * picks a join strategy per JOIN (index-backed hash join for equality
   keys, nested loop otherwise),
 * pushes sargable WHERE conjuncts (``col = ?`` / ``col IN (...)``) down
@@ -39,20 +41,12 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
     AmbiguousColumnError,
-    BindingError,
+    SQLExecutionError,
     UnknownColumnError,
-    UnknownTableError,
 )
 from repro.kb.sql import ast
-from repro.kb.sql.executor import (
-    _eval_predicate,
-    _project_grouped,
-    _project_plain,
-    _Scope,
-    _sort_key,
-    _split_equi_join,
-    _norm_key,
-)
+from repro.kb.sql.binder import BoundColumn, BoundTable, bind, is_grouped
+from repro.kb.sql.executor import _eval_operand, _eval_predicate, _group, _sort_key
 from repro.kb.sql.result import ResultSet
 from repro.kb.types import normalize_key
 
@@ -135,16 +129,6 @@ class _PushedFilter:
     label: str
 
 
-@dataclass(frozen=True)
-class _Segment:
-    """One table's slice of the combined join row."""
-
-    binding: str
-    table: "Table"
-    offset: int
-    width: int
-
-
 def _conjuncts(node: ast.Expression) -> list[ast.Expression]:
     if isinstance(node, ast.And):
         return _conjuncts(node.left) + _conjuncts(node.right)
@@ -152,7 +136,7 @@ def _conjuncts(node: ast.Expression) -> list[ast.Expression]:
 
 
 def _sargable(conjunct: ast.Expression) -> tuple[
-    ast.ColumnRef, tuple[ast.Expression, ...]
+    BoundColumn, tuple[ast.Expression, ...]
 ] | None:
     """``col = value`` / ``col IN (values)`` → (col, values), else None."""
     if isinstance(conjunct, ast.Comparison) and conjunct.op == "=":
@@ -160,13 +144,13 @@ def _sargable(conjunct: ast.Expression) -> tuple[
             (conjunct.left, conjunct.right),
             (conjunct.right, conjunct.left),
         ):
-            if isinstance(col, ast.ColumnRef) and isinstance(
+            if isinstance(col, BoundColumn) and isinstance(
                 value, (ast.Literal, ast.Parameter)
             ):
                 return col, (value,)
         return None
     if isinstance(conjunct, ast.InPredicate) and not conjunct.negated:
-        if isinstance(conjunct.operand, ast.ColumnRef) and all(
+        if isinstance(conjunct.operand, BoundColumn) and all(
             isinstance(value, (ast.Literal, ast.Parameter))
             for value in conjunct.values
         ):
@@ -174,12 +158,27 @@ def _sargable(conjunct: ast.Expression) -> tuple[
     return None
 
 
-def _filter_value(node: ast.Expression, params: dict[str, Any]) -> Any:
-    if isinstance(node, ast.Literal):
-        return node.value
-    if node.name not in params:  # ast.Parameter
-        raise BindingError(f"missing parameter :{node.name}")
-    return params[node.name]
+def _split_equi_join(
+    condition: ast.Expression, right: BoundTable
+) -> tuple[int, int] | None:
+    """If ``condition`` is ``left.col = right.col``, return their indices.
+
+    Returns (index into the left rows, index into ``right``'s own rows)
+    or None when the condition is not a simple cross-side equality.
+    """
+    if not isinstance(condition, ast.Comparison) or condition.op != "=":
+        return None
+    for first, second in (
+        (condition.left, condition.right),
+        (condition.right, condition.left),
+    ):
+        if (
+            isinstance(first, BoundColumn)
+            and isinstance(second, BoundColumn)
+            and first.position < right.offset <= second.position
+        ):
+            return first.position, second.position - right.offset
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +192,6 @@ class _JoinStep:
 
     join: ast.Join
     table: "Table"
-    right_width: int
-    combined_scope: _Scope
     equi: tuple[int, int] | None   # (left row index, right column position)
     pushed: tuple[_PushedFilter, ...]
 
@@ -228,117 +225,101 @@ class CompiledPlan:
     # -- compilation ---------------------------------------------------------
 
     def _compile(self) -> None:
-        select, database = self.select, self.database
-        for table_ref in [select.source] + [j.table for j in select.joins]:
-            if not database.has_table(table_ref.table):
-                raise UnknownTableError(table_ref.table)
-
-        self.base_table: "Table" = database.table(select.source.table)
-        base_columns = self.base_table.schema.column_names()
-
-        # Segments: each table's slice of the combined row.
-        segments: list[_Segment] = [
-            _Segment(select.source.binding, self.base_table, 0, len(base_columns))
-        ]
-        scope = _Scope()
-        scope.add_table(select.source.binding, base_columns)
-
-        self.join_steps: list[_JoinStep] = []
-        for join in select.joins:
-            right = database.table(join.table.table)
-            right_columns = right.schema.column_names()
-            right_scope = _Scope()
-            right_scope.add_table(join.table.binding, right_columns)
-
-            combined = _Scope()
-            for segment in segments:
-                combined.add_table(
-                    segment.binding, segment.table.schema.column_names()
-                )
-            combined.add_table(join.table.binding, right_columns)
-
-            equi = _split_equi_join(join.condition, scope, right_scope)
-            segments.append(
-                _Segment(
-                    join.table.binding,
-                    right,
-                    sum(s.width for s in segments),
-                    len(right_columns),
-                )
-            )
-            self.join_steps.append(
-                _JoinStep(
-                    join=join,
-                    table=right,
-                    right_width=len(right_columns),
-                    combined_scope=combined,
-                    equi=equi,
-                    pushed=(),
-                )
-            )
-            scope = combined
-
-        self.final_scope = scope
-        self.segments = segments
-
-        # Resolve every WHERE column reference now, so unknown/ambiguous
-        # references fail at prepare time on both the scan and the index
-        # path (an index prefilter that empties the row set must not
-        # swallow a resolution error the scan path would have raised).
-        if select.where is not None:
-            self._resolve_refs(select.where)
+        database = self.database
+        self.bound = bind(self.select, database.schema())
+        select = self.bound.select
+        tables = [database.table(t.schema.name) for t in self.bound.tables]
+        self.base_table: "Table" = tables[0]
 
         # Pushdown: bind each sargable conjunct to its table segment.
-        pushed_by_segment: dict[int, list[_PushedFilter]] = {}
-        if select.where is not None:
-            for conjunct in _conjuncts(select.where):
-                sarg = _sargable(conjunct)
-                if sarg is None:
+        pushed: list[list[_PushedFilter]] = [[] for _ in tables]
+        conjuncts = _conjuncts(select.where) if select.where is not None else []
+        for conjunct in conjuncts:
+            sarg = _sargable(conjunct)
+            if sarg is None:
+                continue
+            col, values = sarg
+            segment = next(
+                i for i, t in enumerate(self.bound.tables)
+                if t.offset <= col.position < t.offset + t.width
+            )
+            label = "{} = {}".format(
+                _expr_label(col), _expr_label(values[0])
+            ) if len(values) == 1 else "{} IN ({})".format(
+                _expr_label(col), ", ".join(_expr_label(v) for v in values),
+            )
+            pushed[segment].append(_PushedFilter(
+                col.position - self.bound.tables[segment].offset, values, label
+            ))
+        self.base_pushed: tuple[_PushedFilter, ...] = tuple(pushed[0])
+        self.join_steps = [
+            _JoinStep(
+                join=join,
+                table=table,
+                equi=_split_equi_join(join.condition, bound_table),
+                pushed=tuple(filters),
+            )
+            for join, table, bound_table, filters in zip(
+                select.joins, tables[1:], self.bound.tables[1:], pushed[1:]
+            )
+        ]
+        self._compile_projection(select)
+
+    def _compile_projection(self, select: ast.Select) -> None:
+        """Output names, projected positions and sort keys, all static."""
+        self._grouped = is_grouped(select)
+        if select.is_star():
+            if self._grouped:
+                raise SQLExecutionError(
+                    "SELECT * cannot be combined with GROUP BY/aggregates"
+                )
+            self.columns = [
+                name for t in self.bound.tables for name in t.schema.column_names()
+            ]
+            self._projection: tuple[int, ...] | None = None
+        else:
+            self.columns = [item.output_name() for item in self.select.items]
+            self._projection = tuple(
+                item.expression.position for item in select.items
+                if isinstance(item.expression, BoundColumn)
+            )
+        if self._grouped:
+            self._group_positions = tuple(col.position for col in select.group_by)
+            for item in select.items:
+                expr = item.expression
+                if isinstance(expr, ast.Aggregate):
                     continue
-                col, values = sarg
-                position = self.final_scope.resolve(col)
-                for seg_index, segment in enumerate(segments):
-                    if segment.offset <= position < segment.offset + segment.width:
-                        label = "{} = {}".format(
-                            _expr_label(col), _expr_label(values[0])
-                        ) if len(values) == 1 else "{} IN ({})".format(
-                            _expr_label(col),
-                            ", ".join(_expr_label(v) for v in values),
-                        )
-                        pushed_by_segment.setdefault(seg_index, []).append(
-                            _PushedFilter(
-                                position - segment.offset, values, label
-                            )
-                        )
-                        break
-
-        self.base_pushed: tuple[_PushedFilter, ...] = tuple(
-            pushed_by_segment.get(0, ())
-        )
-        for i, step in enumerate(self.join_steps):
-            step.pushed = tuple(pushed_by_segment.get(i + 1, ()))
-
-        self._has_aggregates = any(
-            isinstance(item.expression, ast.Aggregate) for item in select.items
-        )
-
-    def _resolve_refs(self, node: ast.Expression) -> None:
-        if isinstance(node, ast.ColumnRef):
-            self.final_scope.resolve(node)
-        elif isinstance(node, (ast.And, ast.Or, ast.Comparison)):
-            self._resolve_refs(node.left)
-            self._resolve_refs(node.right)
-        elif isinstance(node, ast.Not):
-            self._resolve_refs(node.operand)
-        elif isinstance(node, ast.LikePredicate):
-            self._resolve_refs(node.operand)
-            self._resolve_refs(node.pattern)
-        elif isinstance(node, ast.InPredicate):
-            self._resolve_refs(node.operand)
-            for value in node.values:
-                self._resolve_refs(value)
-        elif isinstance(node, ast.IsNullPredicate):
-            self._resolve_refs(node.operand)
+                if not select.group_by:
+                    raise SQLExecutionError(
+                        f"column {expr} mixed with aggregates requires GROUP BY"
+                    )
+                if expr.position not in self._group_positions:
+                    raise SQLExecutionError(
+                        f"column {expr} must appear in GROUP BY"
+                    )
+            self._outputs = tuple(
+                item.expression if isinstance(item.expression, ast.Aggregate)
+                else item.expression.position
+                for item in select.items
+            )
+        # Sort keys: a row position before grouping, an output column
+        # index after it (grouped ORDER BY names output columns).
+        self._order: list[tuple[int, bool]] = []
+        lowered = [name.lower() for name in self.columns]
+        for item in select.order_by:
+            if not self._grouped:
+                self._order.append((item.column.position, item.descending))
+                continue
+            name = item.column.column.lower()
+            matches = [i for i, c in enumerate(lowered) if c == name]
+            if not matches:
+                raise UnknownColumnError(item.column.column)
+            if len(matches) > 1:
+                raise AmbiguousColumnError(
+                    item.column.column,
+                    tuple(f"output column {i + 1}" for i in matches),
+                )
+            self._order.append((matches[0], item.descending))
 
     # -- observability -------------------------------------------------------
 
@@ -374,7 +355,7 @@ class CompiledPlan:
             steps.append(PlanStep(op, step.table.name, detail))
         if self.select.where is not None:
             steps.append(PlanStep("filter", detail="WHERE"))
-        if self.select.group_by or self._has_aggregates:
+        if self._grouped:
             steps.append(PlanStep("aggregate"))
         if self.select.distinct:
             steps.append(PlanStep("distinct"))
@@ -407,7 +388,7 @@ class CompiledPlan:
             self.index_probes += 1
             positions: set[int] = set()
             for value_expr in pushed.values:
-                value = _filter_value(value_expr, params)
+                value = _eval_operand(value_expr, (), params)
                 if value is None:
                     continue  # NULL never equals anything
                 positions.update(index.get(normalize_key(value), ()))
@@ -436,7 +417,7 @@ class CompiledPlan:
         self, step: _JoinStep, rows: list[tuple], params: dict[str, Any]
     ) -> list[tuple]:
         join = step.join
-        right_width = step.right_width
+        right_width = len(step.table.schema.columns)
         new_rows: list[tuple] = []
         if step.equi is not None:
             left_idx, right_col = step.equi
@@ -486,9 +467,7 @@ class CompiledPlan:
             matched = False
             for rrow in right_rows:
                 candidate = lrow + rrow
-                if _eval_predicate(
-                    join.condition, candidate, step.combined_scope, params
-                ):
+                if _eval_predicate(join.condition, candidate, params):
                     new_rows.append(candidate)
                     matched = True
             if not matched and join.kind == "left":
@@ -505,27 +484,24 @@ class CompiledPlan:
         for step in self.join_steps:
             rows = self._apply_join(step, rows, params)
 
-        scope = self.final_scope
-        if select.where is not None:
-            where = select.where
-            rows = [
-                row for row in rows
-                if _eval_predicate(where, row, scope, params)
-            ]
+        where = self.bound.select.where
+        if where is not None:
+            rows = [row for row in rows if _eval_predicate(where, row, params)]
 
-        if select.group_by or self._has_aggregates:
-            result_columns, out_rows = _project_grouped(select, rows, scope)
+        if self._grouped:
+            out_rows = _group(rows, self._group_positions, self._outputs)
+        elif self._projection is None:
+            out_rows = list(rows)
         else:
-            result_columns, out_rows = _project_plain(
-                select, rows, scope, self.database
-            )
+            projection = self._projection
+            out_rows = [tuple(row[i] for i in projection) for row in rows]
 
         if select.distinct:
             seen: set = set()
             deduped = []
             kept_source_rows = []
             for position, row in enumerate(out_rows):
-                key = tuple(_norm_key(v) for v in row)
+                key = tuple(normalize_key(v) for v in row)
                 if key not in seen:
                     seen.add(key)
                     deduped.append(row)
@@ -536,43 +512,25 @@ class CompiledPlan:
             if len(kept_source_rows) == len(out_rows):
                 rows = kept_source_rows
 
-        if select.order_by:
-            if select.group_by or self._has_aggregates:
-                # ORDER BY must reference output columns after grouping.
-                lowered = [c.lower() for c in result_columns]
-                # Sort ascending first, then apply per-key direction via
-                # stable sorts.
-                for item in reversed(select.order_by):
-                    name = item.column.column.lower()
-                    matches = [i for i, c in enumerate(lowered) if c == name]
-                    if not matches:
-                        raise UnknownColumnError(item.column.column)
-                    if len(matches) > 1:
-                        raise AmbiguousColumnError(
-                            item.column.column,
-                            tuple(f"output column {i + 1}" for i in matches),
-                        )
-                    idx = matches[0]
-                    out_rows.sort(
-                        key=lambda r: _sort_key(r[idx]), reverse=item.descending
-                    )
+        # Stable sorts, last key first, apply each key's direction.
+        for idx, descending in reversed(self._order):
+            if self._grouped:
+                out_rows.sort(key=lambda r: _sort_key(r[idx]), reverse=descending)
             else:
-                for item in reversed(select.order_by):
-                    idx = scope.resolve(item.column)
-                    paired = sorted(
-                        zip(rows, out_rows),
-                        key=lambda pair: _sort_key(pair[0][idx]),
-                        reverse=item.descending,
-                    )
-                    rows = [p[0] for p in paired]
-                    out_rows = [p[1] for p in paired]
+                paired = sorted(
+                    zip(rows, out_rows),
+                    key=lambda pair: _sort_key(pair[0][idx]),
+                    reverse=descending,
+                )
+                rows = [p[0] for p in paired]
+                out_rows = [p[1] for p in paired]
 
         if select.offset:
             out_rows = out_rows[select.offset:]
         if select.limit is not None:
             out_rows = out_rows[: select.limit]
 
-        return ResultSet(columns=result_columns, rows=out_rows)
+        return ResultSet(columns=list(self.columns), rows=out_rows)
 
 
 def compile_plan(

@@ -65,13 +65,20 @@ import os
 import re
 import sqlite3
 import threading
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.errors import KBError, SQLExecutionError
 from repro.kb.database import Database
 from repro.kb.io import database_manifest, table_schema_from_manifest
 from repro.kb.schema import TableSchema
 from repro.kb.sql import ast
+from repro.kb.sql.binder import (
+    TYPE_CLASS,
+    BoundColumn,
+    BoundSelect,
+    comparable,
+    literal_type,
+)
 from repro.kb.sql.executor import _like_match
 from repro.kb.sql.parser import parse
 from repro.kb.sql.planner import PlanCache, PlanStep, QueryPlan, compile_plan
@@ -92,19 +99,12 @@ _INT64_MAX = 2**63
 
 _PARAM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-#: Planner type classes used to detect cross-type comparisons.
-_TYPE_CLASS = {
-    DataType.INTEGER: "number",
-    DataType.FLOAT: "number",
-    DataType.TEXT: "text",
-    DataType.BOOLEAN: "bool",
-}
-
-_KNOWN_CLASSES = frozenset({"text", "number", "bool"})
-
-
 def _quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
+
+
+def _column_sql(binding: str, column: str) -> str:
+    return f"{_quote_ident(binding)}.{_quote_ident(column)}"
 
 
 def _quote_text(value: str) -> str:
@@ -135,70 +135,24 @@ class _NotLowerable(Exception):
         self.reason = reason
 
 
-class _LowerScope:
-    """Column resolution for the lowering pass (binding → schema)."""
-
-    def __init__(self) -> None:
-        self.ordered: list[tuple[str, TableSchema]] = []
-        self._qualified: dict[tuple[str, str], tuple[str, str]] = {}
-        self._unqualified: dict[str, list[tuple[str, str]]] = {}
-
-    def add_table(self, binding: str, schema: TableSchema) -> None:
-        low = binding.lower()
-        self.ordered.append((low, schema))
-        for col in schema.columns:
-            cls = _TYPE_CLASS[col.data_type]
-            self._qualified[(low, col.name.lower())] = (
-                f"{_quote_ident(low)}.{_quote_ident(col.name)}",
-                cls,
-            )
-            self._unqualified.setdefault(col.name.lower(), []).append(
-                self._qualified[(low, col.name.lower())]
-            )
-
-    def resolve(self, ref: ast.ColumnRef) -> tuple[str, str]:
-        """Return ``(rendered_sql, type_class)`` for a column reference.
-
-        Unknown/ambiguous references cannot reach here in practice — the
-        fallback plan is compiled first and raises the reference errors
-        at prepare time — so these are defensive bail-outs.
-        """
-        if ref.table is not None:
-            entry = self._qualified.get((ref.table.lower(), ref.column.lower()))
-            if entry is None:
-                raise _NotLowerable(f"unresolved column {ref.table}.{ref.column}")
-            return entry
-        entries = self._unqualified.get(ref.column.lower())
-        if not entries or len(entries) > 1:
-            raise _NotLowerable(f"unresolved or ambiguous column {ref.column}")
-        return entries[0]
-
-
-class _Lowered:
+class _Lowered(NamedTuple):
     """A successfully lowered query: SQL text + output/bind metadata."""
 
-    __slots__ = ("sql", "columns", "bool_positions", "param_expectations")
-
-    def __init__(
-        self,
-        sql: str,
-        columns: list[str],
-        bool_positions: tuple[int, ...],
-        param_expectations: dict[str, frozenset[str]],
-    ) -> None:
-        self.sql = sql
-        self.columns = columns
-        self.bool_positions = bool_positions
-        self.param_expectations = param_expectations
+    sql: str
+    columns: list[str]
+    bool_positions: tuple[int, ...]
+    param_expectations: dict[str, frozenset[str]]
 
 
 class _Lowerer:
-    """Renders one parsed SELECT into SQLite SQL, or raises _NotLowerable."""
+    """Renders one bound SELECT into SQLite SQL, or raises _NotLowerable.
 
-    def __init__(self, select: ast.Select, schemas: Mapping[str, TableSchema]) -> None:
-        self.select = select
-        self.schemas = schemas
-        self.scope = _LowerScope()
+    Operands carry their :class:`DataType` (None for parameters and
+    NULL); rules compare the binder's type classes (``TYPE_CLASS``).
+    """
+
+    def __init__(self, bound: BoundSelect) -> None:
+        self.bound = bound
         self.expectations: dict[str, set[str]] = {}
 
     # -- operands ------------------------------------------------------------
@@ -207,32 +161,33 @@ class _Lowerer:
         if isinstance(node, ast.Parameter):
             self.expectations.setdefault(node.name, set()).add(cls)
 
-    def _operand(self, node: ast.Expression) -> tuple[str, str]:
+    def _operand(self, node: ast.Expression) -> tuple[str, DataType | None]:
         if isinstance(node, ast.Literal):
-            return self._literal(node.value)
-        if isinstance(node, ast.ColumnRef):
-            return self.scope.resolve(node)
+            return self._literal(node.value), literal_type(node.value)
+        if isinstance(node, BoundColumn):
+            return _column_sql(node.binding, node.name), node.data_type
         if isinstance(node, ast.Parameter):
             if not _PARAM_NAME.match(node.name):
                 raise _NotLowerable(f"parameter name {node.name!r} not SQLite-safe")
-            return f":{node.name}", "param"
+            return f":{node.name}", None
         raise _NotLowerable(f"unsupported operand {type(node).__name__}")
 
-    def _literal(self, value: Any) -> tuple[str, str]:
+    @staticmethod
+    def _literal(value: Any) -> str:
         if value is None:
-            return "NULL", "null"
+            return "NULL"
         if isinstance(value, bool):
-            return ("1" if value else "0"), "bool"
+            return "1" if value else "0"
         if isinstance(value, int):
             if abs(value) >= _INT64_MAX:
                 raise _NotLowerable("integer literal outside SQLite's 64-bit range")
-            return repr(value), "number"
+            return repr(value)
         if isinstance(value, float):
             if not math.isfinite(value):
                 raise _NotLowerable("non-finite float literal")
-            return repr(value), "number"
+            return repr(value)
         if isinstance(value, str):
-            return _quote_text(value), "text"
+            return _quote_text(value)
         raise _NotLowerable(f"unsupported literal type {type(value).__name__}")
 
     # -- predicates ----------------------------------------------------------
@@ -257,26 +212,26 @@ class _Lowerer:
         if isinstance(node, ast.InPredicate):
             return self._in(node)
         if isinstance(node, ast.IsNullPredicate):
-            operand_sql, operand_cls = self._operand(node.operand)
+            operand_sql, _ = self._operand(node.operand)
             self._expect(node.operand, "null")
             test = "IS NOT NULL" if node.negated else "IS NULL"
             return f"({operand_sql} {test})"
         raise _NotLowerable(f"unsupported predicate {type(node).__name__}")
 
     def _comparison(self, node: ast.Comparison) -> str:
-        left_sql, left_cls = self._operand(node.left)
-        right_sql, right_cls = self._operand(node.right)
-        if left_cls == "param" and right_cls == "param":
-            raise _NotLowerable("parameter-to-parameter comparison")
-        if (
-            left_cls in _KNOWN_CLASSES
-            and right_cls in _KNOWN_CLASSES
-            and left_cls != right_cls
+        left_sql, left_type = self._operand(node.left)
+        right_sql, right_type = self._operand(node.right)
+        if isinstance(node.left, ast.Parameter) and isinstance(
+            node.right, ast.Parameter
         ):
-            raise _NotLowerable(f"cross-type comparison ({left_cls} vs {right_cls})")
-        cls = left_cls if left_cls in _KNOWN_CLASSES else right_cls
-        if cls not in _KNOWN_CLASSES:
-            cls = "null"
+            raise _NotLowerable("parameter-to-parameter comparison")
+        if left_type and right_type and not comparable(left_type, right_type):
+            raise _NotLowerable(
+                f"cross-type comparison ({TYPE_CLASS[left_type]} vs "
+                f"{TYPE_CLASS[right_type]})"
+            )
+        known = left_type or right_type
+        cls = TYPE_CLASS[known] if known else "null"
         self._expect(node.left, cls)
         self._expect(node.right, cls)
         if cls == "text":
@@ -284,9 +239,9 @@ class _Lowerer:
         return f"COALESCE(({left_sql} {node.op} {right_sql}), 0)"
 
     def _like(self, node: ast.LikePredicate) -> str:
-        operand_sql, operand_cls = self._operand(node.operand)
-        pattern_sql, pattern_cls = self._operand(node.pattern)
-        if operand_cls == "bool" or pattern_cls == "bool":
+        operand_sql, operand_type = self._operand(node.operand)
+        pattern_sql, pattern_type = self._operand(node.pattern)
+        if DataType.BOOLEAN in (operand_type, pattern_type):
             # str(True) is 'true' in the reference but the store holds 1.
             raise _NotLowerable("LIKE over a boolean operand")
         self._expect(node.operand, "like")
@@ -295,28 +250,24 @@ class _Lowerer:
         return f"(NOT {core})" if node.negated else core
 
     def _in(self, node: ast.InPredicate) -> str:
-        operand_sql, operand_cls = self._operand(node.operand)
-        rendered: list[tuple[ast.Expression, str, str]] = []
-        for item in node.values:
-            item_sql, item_cls = self._operand(item)
-            rendered.append((item, item_sql, item_cls))
-        item_known = {cls for _, _, cls in rendered if cls in _KNOWN_CLASSES}
-        if operand_cls in _KNOWN_CLASSES:
-            target = operand_cls
-        elif len(item_known) == 1:
-            target = next(iter(item_known))
-        elif not item_known:
-            if operand_cls == "param":
+        operand_sql, operand_type = self._operand(node.operand)
+        rendered = [(item, *self._operand(item)) for item in node.values]
+        item_classes = {TYPE_CLASS[t] for _, _, t in rendered if t}
+        if operand_type:
+            target = TYPE_CLASS[operand_type]
+        elif len(item_classes) == 1:
+            target = next(iter(item_classes))
+        elif not item_classes:
+            if isinstance(node.operand, ast.Parameter):
                 raise _NotLowerable("parameter-to-parameter comparison")
             target = "null"
         else:
             raise _NotLowerable("mixed-type IN list")
-        for item, _, item_cls in rendered:
-            if item_cls in _KNOWN_CLASSES and target in _KNOWN_CLASSES:
-                if item_cls != target:
-                    raise _NotLowerable(
-                        f"cross-type comparison ({target} vs {item_cls})"
-                    )
+        for item, _, item_type in rendered:
+            if item_type and target != "null" and TYPE_CLASS[item_type] != target:
+                raise _NotLowerable(
+                    f"cross-type comparison ({target} vs {TYPE_CLASS[item_type]})"
+                )
             self._expect(item, target)
         self._expect(node.operand, target)
         if target == "text":
@@ -328,7 +279,7 @@ class _Lowerer:
     # -- the statement -------------------------------------------------------
 
     def lower(self) -> _Lowered:
-        select = self.select
+        select = self.bound.select
         if select.group_by:
             raise _NotLowerable(
                 "GROUP BY (first-seen group order and case-folded keys)"
@@ -341,58 +292,42 @@ class _Lowerer:
                 "DISTINCT needs SQLite window functions (>= 3.25)"
             )
 
-        # FROM / JOIN — progressive scope like the reference planner.
-        table_refs = [(None, select.source)] + [
-            (join, join.table) for join in select.joins
-        ]
+        # FROM / JOIN, in the binder's table order.
         from_parts: list[str] = []
-        for join, table_ref in table_refs:
-            schema = self.schemas.get(table_ref.table.lower())
-            if schema is None:
-                raise _NotLowerable(f"unresolved table {table_ref.table}")
-            binding = table_ref.binding
-            self.scope.add_table(binding, schema)
+        for table, join in zip(self.bound.tables, (None,) + select.joins):
             clause = (
-                f"{_quote_ident(schema.name)} AS {_quote_ident(binding.lower())}"
+                f"{_quote_ident(table.schema.name)} AS "
+                f"{_quote_ident(table.binding)}"
             )
             if join is None:
                 from_parts.append(f"FROM {clause}")
             else:
                 keyword = "LEFT JOIN" if join.kind == "left" else "JOIN"
-                if join.condition is None:
-                    raise _NotLowerable("JOIN without ON condition")
                 condition = self._predicate(join.condition)
                 from_parts.append(f"{keyword} {clause} ON {condition}")
 
         # SELECT list (never ``*``: the hidden position column must stay
         # hidden, so star expands to explicit schema columns).
-        out_names: list[str] = []
-        out_sqls: list[str] = []
-        out_classes: list[str] = []
-        bool_positions: list[int] = []
         if select.is_star():
-            for binding, schema in self.scope.ordered:
-                for col in schema.columns:
-                    out_sqls.append(
-                        f"{_quote_ident(binding)}.{_quote_ident(col.name)}"
-                    )
-                    out_names.append(col.name)
-                    out_classes.append(_TYPE_CLASS[col.data_type])
-                    if col.data_type is DataType.BOOLEAN:
-                        bool_positions.append(len(out_names) - 1)
+            outputs = [
+                (col.name, _column_sql(table.binding, col.name), col.data_type)
+                for table in self.bound.tables
+                for col in table.schema.columns
+            ]
         else:
-            for item in select.items:
-                expr = item.expression
-                if not isinstance(expr, ast.ColumnRef):
-                    raise _NotLowerable(
-                        f"non-column projection {type(expr).__name__}"
-                    )
-                sql, cls = self.scope.resolve(expr)
-                out_sqls.append(sql)
-                out_names.append(item.output_name())
-                out_classes.append(cls)
-                if cls == "bool":
-                    bool_positions.append(len(out_names) - 1)
+            outputs = [
+                (
+                    item.output_name(),
+                    _column_sql(item.expression.binding, item.expression.name),
+                    item.expression.data_type,
+                )
+                for item in select.items
+            ]
+        out_names, out_sqls, out_types = (list(part) for part in zip(*outputs))
+        bool_positions = tuple(
+            i for i, data_type in enumerate(out_types)
+            if data_type is DataType.BOOLEAN
+        )
 
         where_sql = ""
         if select.where is not None:
@@ -401,13 +336,17 @@ class _Lowerer:
         # ORDER BY: requested keys first, then every binding's hidden
         # position column — this reproduces the reference's stable sort
         # over scan/join enumeration order, byte for byte.
-        order_items: list[tuple[str, str, bool]] = []
-        for item in select.order_by:
-            sql, cls = self.scope.resolve(item.column)
-            order_items.append((sql, cls, item.descending))
+        order_items = [
+            (
+                _column_sql(item.column.binding, item.column.name),
+                item.column.data_type,
+                item.descending,
+            )
+            for item in select.order_by
+        ]
         position_columns = [
-            f"{_quote_ident(binding)}.{_quote_ident(POSITION_COLUMN)}"
-            for binding, _ in self.scope.ordered
+            _column_sql(table.binding, POSITION_COLUMN)
+            for table in self.bound.tables
         ]
 
         limit_sql = ""
@@ -420,13 +359,13 @@ class _Lowerer:
 
         if select.distinct:
             sql = self._render_distinct(
-                out_sqls, out_classes, from_parts, where_sql,
+                out_sqls, out_types, from_parts, where_sql,
                 order_items, position_columns, limit_sql,
             )
         else:
             order_parts = []
-            for sql_expr, cls, descending in order_items:
-                if cls == "text":
+            for sql_expr, data_type, descending in order_items:
+                if data_type is DataType.TEXT:
                     sql_expr = f"{sql_expr} COLLATE repro_nocase"
                 if descending:
                     sql_expr = f"{sql_expr} DESC"
@@ -442,15 +381,15 @@ class _Lowerer:
         expectations = {
             name: frozenset(classes) for name, classes in self.expectations.items()
         }
-        return _Lowered(sql, out_names, tuple(bool_positions), expectations)
+        return _Lowered(sql, out_names, bool_positions, expectations)
 
     def _render_distinct(
         self,
         out_sqls: list[str],
-        out_classes: list[str],
+        out_types: list[DataType],
         from_parts: list[str],
         where_sql: str,
-        order_items: list[tuple[str, str, bool]],
+        order_items: list[tuple[str, DataType, bool]],
         position_columns: list[str],
         limit_sql: str,
     ) -> str:
@@ -468,12 +407,13 @@ class _Lowerer:
         """
         inner: list[str] = []
         keys: list[str] = []
-        for index, (expr, cls) in enumerate(zip(out_sqls, out_classes)):
+        for index, (expr, data_type) in enumerate(zip(out_sqls, out_types)):
             inner.append(f"{expr} AS {_quote_ident(f'_repro_c{index}_')}")
             keys.append(
-                f"{expr} COLLATE repro_nocase" if cls == "text" else expr
+                f"{expr} COLLATE repro_nocase"
+                if data_type is DataType.TEXT else expr
             )
-        for index, (expr, _cls, _descending) in enumerate(order_items):
+        for index, (expr, _type, _descending) in enumerate(order_items):
             inner.append(f"{expr} AS {_quote_ident(f'_repro_o{index}_')}")
         for index, expr in enumerate(position_columns):
             inner.append(f"{expr} AS {_quote_ident(f'_repro_p{index}_')}")
@@ -483,9 +423,9 @@ class _Lowerer:
             f"{_quote_ident('_repro_rn_')}"
         )
         outer_order: list[str] = []
-        for index, (_expr, cls, descending) in enumerate(order_items):
+        for index, (_expr, data_type, descending) in enumerate(order_items):
             rendered = _quote_ident(f"_repro_o{index}_")
-            if cls == "text":
+            if data_type is DataType.TEXT:
                 rendered = f"{rendered} COLLATE repro_nocase"
             if descending:
                 rendered = f"{rendered} DESC"
@@ -570,9 +510,7 @@ class SQLitePlan:
         self.lowered_executions = 0
         self.fallback_executions = 0
         try:
-            self._lowered: _Lowered | None = _Lowerer(
-                select, backend._schemas
-            ).lower()
+            self._lowered: _Lowered | None = _Lowerer(self.fallback.bound).lower()
             self.fallback_reason: str | None = None
         except _NotLowerable as exc:
             self._lowered = None

@@ -274,7 +274,6 @@ class DurableSessionStore:
         When this returns, the turn is on disk per the fsync policy and
         the serving layer may acknowledge it to the client.
         """
-        journal = self._journal_for(sid)
         record = {
             "type": "turn",
             "turn": entry.session.context.turn_count,
@@ -290,11 +289,8 @@ class DurableSessionStore:
         }
         if client_turn_id is not None:
             record["client_turn_id"] = client_turn_id
-        fsyncs_before = journal.fsync_count()
-        written = journal.append(record)
+        self._append(sid, record)
         self._count("turns_journaled_total")
-        self._count("journal_bytes_total", written)
-        self._count("journal_fsyncs_total", journal.fsync_count() - fsyncs_before)
         if client_turn_id is not None:
             entry.last_commit = (client_turn_id, dict(result))
         with self._journal_lock:
@@ -307,13 +303,18 @@ class DurableSessionStore:
         """Make the thumbs mark on the session's last turn durable
         (called under the entry lock, after the mark is applied)."""
         context = entry.session.context
-        journal = self._journal_for(sid)
-        fsyncs_before = journal.fsync_count()
-        written = journal.append({
+        self._append(sid, {
             "type": "feedback",
             "turn": context.turn_count,
             "feedback": context.history[-1].feedback,
         })
+
+    def _append(self, sid: str, record: dict[str, Any]) -> None:
+        """Append one record to the session's journal, counting its
+        bytes and fsyncs (the commit point of both commit methods)."""
+        journal = self._journal_for(sid)
+        fsyncs_before = journal.fsync_count()
+        written = journal.append(record)
         self._count("journal_bytes_total", written)
         self._count("journal_fsyncs_total", journal.fsync_count() - fsyncs_before)
 

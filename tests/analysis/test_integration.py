@@ -178,6 +178,29 @@ class TestAuditCLI:
         assert "repro check --deep" in out
         assert "suppressed by baseline" in out
 
+    def test_check_deep_builds_and_binds_once(self, monkeypatch, capsys):
+        # Both checker layers read one artifact build, in which each
+        # distinct template SQL is parsed exactly once.
+        from repro.analysis import runner, space_checker
+
+        builds, parses = [], []
+        real_build, real_parse = runner.build_artifacts, space_checker.parse_sql
+
+        def build(*args, **kwargs):
+            builds.append(real_build(*args, **kwargs))
+            return builds[-1]
+
+        def parse(sql):
+            parses.append(sql)
+            return real_parse(sql)
+
+        monkeypatch.setattr(runner, "build_artifacts", build)
+        monkeypatch.setattr(space_checker, "parse_sql", parse)
+        assert main(["check", "--deep"]) == 0
+        assert len(builds) == 1
+        assert sorted(parses) == sorted(builds[0].queries)
+        assert len(parses) == len(set(parses))
+
     def test_plain_check_does_not_nag_about_audit_baseline(self, capsys):
         # The A003 entry is out of scope for the structural check; its
         # unused-entry note must not leak into `repro check` output.

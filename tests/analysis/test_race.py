@@ -493,6 +493,31 @@ class TestD003ReturnBeforeCommit:
         """)
         assert codes == []
 
+    def test_append_through_same_class_helper_clean(self):
+        codes = _codes(self.JOURNALED + """
+            def commit_turn(self, turn):
+                self._append(turn)
+                return turn
+
+            def _append(self, record):
+                self.journal.append(record)
+        """)
+        assert codes == []
+
+    def test_return_before_helper_commit_point(self):
+        diags = _diags(self.JOURNALED + """
+            def commit_turn(self, turn):
+                if turn is None:
+                    return None
+                self._append(turn)
+                return turn
+
+            def _append(self, record):
+                self.journal.append(record)
+        """)
+        assert [d.code for d in diags] == ["D003"]
+        assert "commit point at line" in diags[0].message
+
     def test_non_commit_method_out_of_scope(self):
         codes = _codes(self.JOURNALED + """
             def maybe_store(self, turn):

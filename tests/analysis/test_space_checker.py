@@ -14,6 +14,7 @@ from repro.bootstrap.entities import EntityValue
 from repro.bootstrap.intents import Intent
 from repro.dialogue.logic_table import DialogueLogicRow, DialogueLogicTable
 from repro.dialogue.tree import DialogueNode
+from repro.errors import AmbiguousColumnError
 from repro.nlq.templates import StructuredQueryTemplate
 from tests.conftest import make_toy_database
 
@@ -108,6 +109,28 @@ def test_c003_ambiguous_unqualified_column(space):
     ]
     diags = [d for d in check_space(space) if d.code == "C003"]
     assert any("ambiguous" in d.message for d in diags)
+
+
+def test_c003_ambiguous_column_in_self_join(space):
+    # One table joined to itself owns 'name' under both bindings; the
+    # executor rejects the query, so the checker must too.
+    intent = _first_lookup(space)
+    sql = (
+        "SELECT name FROM drug a JOIN drug b ON a.brand = b.name "
+        "WHERE a.name = :d"
+    )
+    intent.custom_templates = [
+        StructuredQueryTemplate(
+            intent_name=intent.name, sql=sql, parameters={"d": "Drug"}
+        )
+    ]
+    diags = [d for d in check_space(space) if d.code == "C003"]
+    assert [d.message for d in diags] == [
+        "unqualified column 'name' is ambiguous between tables "
+        "drug AS a, drug AS b"
+    ]
+    with pytest.raises(AmbiguousColumnError):
+        space.database.prepare(sql)
 
 
 def test_c004_sql_parameter_not_declared(space):

@@ -177,3 +177,14 @@ def test_unparseable_sql_is_left_to_c001(space):
     # Syntax errors are layer 1's job (C001); the type checker skips.
     _seed(space, "SELEKT nope")
     assert check_space_types(space) == []
+
+
+def test_ambiguous_self_join_column_is_left_to_layer_one(space):
+    # 'name' is ambiguous between the two bindings of drug, so it has no
+    # type here: C003 reports it, T001 does not guess a binding.
+    _seed(
+        space,
+        "SELECT a.name FROM drug a JOIN drug b ON a.drug_id = b.drug_id "
+        "WHERE name = 5",
+    )
+    assert "T001" not in _codes(check_space_types(space))

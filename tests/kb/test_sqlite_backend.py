@@ -11,6 +11,7 @@ from repro.errors import (
     AmbiguousColumnError,
     BindingError,
     KBError,
+    UnknownColumnError,
     UnknownTableError,
 )
 from repro.kb import Column, Database, DataType, TableSchema
@@ -271,17 +272,43 @@ class TestErrorParity:
             toy_sqlite.prepare("SELECT x FROM nothing")
 
     def test_ambiguous_column_same_phase_as_reference(self, toy_db, toy_sqlite):
-        # The reference resolves projection ambiguity lazily (execute,
-        # not prepare); the SQLite backend must match the phase too.
+        # Every column reference binds at prepare, the projection too,
+        # so both backends reject the query before it ever executes.
         sql = (
             "SELECT drug_id FROM drug d "
             "JOIN treats t ON t.drug_id = d.drug_id"
         )
-        toy_sqlite.prepare(sql)  # prepares, like the reference
-        with pytest.raises(AmbiguousColumnError):
-            toy_db.query(sql)
-        with pytest.raises(AmbiguousColumnError):
-            toy_sqlite.query(sql)
+        for backend in (toy_db, toy_sqlite):
+            with pytest.raises(AmbiguousColumnError):
+                backend.prepare(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT nope FROM drug",
+        "SELECT d.name FROM drug d ORDER BY d.nope",
+        "SELECT d.name FROM drug d JOIN treats t ON d.nope = t.drug_id",
+        "SELECT COUNT(nope) FROM drug",
+        "SELECT name FROM drug GROUP BY nope",
+    ], ids=["projection", "order-by", "join-condition", "aggregate", "group-by"])
+    def test_unknown_column_at_prepare_on_both_backends(
+        self, toy_db, toy_sqlite, sql
+    ):
+        for backend in (toy_db, toy_sqlite):
+            with pytest.raises(UnknownColumnError, match="nope"):
+                backend.prepare(sql)
+
+    def test_first_failure_follows_clause_order(self, toy_db, toy_sqlite):
+        # WHERE, then JOIN conditions, then projection, GROUP BY, ORDER BY.
+        sql = (
+            "SELECT p_bad FROM drug d JOIN treats t ON d.j_bad = t.drug_id "
+            "WHERE w_bad = 1 ORDER BY o_bad"
+        )
+        for backend in (toy_db, toy_sqlite):
+            with pytest.raises(UnknownColumnError, match="w_bad"):
+                backend.prepare(sql)
+        sql = "SELECT p_bad FROM drug d JOIN treats t ON d.j_bad = t.drug_id"
+        for backend in (toy_db, toy_sqlite):
+            with pytest.raises(UnknownColumnError, match="j_bad"):
+                backend.prepare(sql)
 
     def test_ambiguous_where_column_at_prepare(self, toy_sqlite):
         with pytest.raises(AmbiguousColumnError):
