@@ -14,6 +14,10 @@ Two modes, one differential core:
   is the differential correctness harness: the index path may only ever
   change *how* rows are found, never *which* rows come back.
 
+Both modes also assert that every template reading FROM ``dosage``
+plans the semi-join reduction on the in-memory engine, so a silent
+fallback to scanning the dosage table fails the run.
+
 ``--backend`` selects the KB engine under test: ``memory`` (the
 default in-memory executor), ``sqlite`` (the stdlib-``sqlite3`` lowering
 backend), or ``both`` — which additionally runs the **cross-backend
@@ -50,6 +54,10 @@ from repro.nlq.templates import StructuredQueryTemplate, templates_for_intent
 #: Acceptance gate: indexed key-concept lookups must beat the scan path
 #: by at least this factor (median over repeats).
 SPEEDUP_FLOOR = 5.0
+
+#: Templates reading FROM this table join it to filtered lookup tables;
+#: the in-memory planner must reduce it by semi-join, not scan it.
+SEMI_JOIN_BASE = "dosage"
 
 
 def build_corpus() -> tuple[Any, list[StructuredQueryTemplate], dict[str, str]]:
@@ -126,6 +134,22 @@ def differential_check(
         "skipped": skipped,
         "mismatches": mismatches,
     }
+
+
+def semi_join_check(
+    database: Any, templates: list[StructuredQueryTemplate]
+) -> dict[str, Any]:
+    """Every template over ``SEMI_JOIN_BASE`` must plan a semi-join first."""
+    checked = 0
+    scanned: list[str] = []
+    for template in templates:
+        plan = database.prepare(template.sql).plan()
+        if plan.steps[0].target != SEMI_JOIN_BASE:
+            continue
+        checked += 1
+        if plan.steps[0].op != "semi-join":
+            scanned.append(template.sql)
+    return {"checked": checked, "scanned": scanned}
 
 
 def typed_rows(result: Any) -> list[tuple[tuple[str, Any], ...]]:
@@ -296,6 +320,15 @@ def main(argv: list[str] | None = None) -> int:
               f"mismatches: {len(diff['mismatches'])}")
         for mismatch in diff["mismatches"]:
             print(f"[{name}] MISMATCH: {mismatch['sql']}")
+
+    if "memory" in engines:
+        semi = semi_join_check(engines["memory"], templates)
+        report["semi_join"] = semi
+        ok = ok and semi["checked"] > 0 and not semi["scanned"]
+        print(f"[memory] {SEMI_JOIN_BASE} templates planned as semi-join: "
+              f"{semi['checked'] - len(semi['scanned'])}/{semi['checked']}")
+        for sql in semi["scanned"]:
+            print(f"[memory] NO SEMI-JOIN: {sql}")
 
     if args.backend == "both":
         cross = cross_backend_check(

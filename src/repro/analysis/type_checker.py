@@ -424,14 +424,16 @@ def _check_shape(scope: _TemplateScope) -> None:
             rule="limit-without-order-by",
         )
 
-    if is_grouped(select):
-        # Matched by column name, so a qualified/unqualified mix passes.
-        grouped_names = {col.column.lower() for col in select.group_by}
+    if is_grouped(select) and all(
+        isinstance(col, BoundColumn) for col in select.group_by
+    ):
+        # Matched by bound row position, as the planner does: the same
+        # column name on another table is not the grouped column.  An
+        # unresolved reference is layer 1's C003 and is skipped here.
+        grouped = {col.position for col in select.group_by}
         for item in select.items:
             expr = item.expression
-            if not isinstance(expr, sql_ast.ColumnRef):
-                continue
-            if expr.column.lower() in grouped_names:
+            if not isinstance(expr, BoundColumn) or expr.position in grouped:
                 continue
             scope.out.error(
                 "T008",

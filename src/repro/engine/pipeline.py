@@ -131,7 +131,10 @@ class TurnState:
     """Everything a stage may read or refine while processing one turn.
 
     ``intent``/``confidence`` start as the raw classifier output and are
-    refined by the context stages; ``recognition`` is the recognizer's
+    refined by the context stages; ``distribution`` is the classifier's
+    probability vector for the utterance, which stages rank with
+    ``classifier.top_k`` instead of scoring the utterance again;
+    ``recognition`` is the recognizer's
     result (stages may resolve ambiguities into it); ``outcome`` is set
     by the tree-traversal stage for the acting stages to consume.
     """
@@ -140,6 +143,7 @@ class TurnState:
     context: ConversationContext
     intent: str | None = None
     confidence: float = 0.0
+    distribution: Any = field(default=None, repr=False, compare=False)
     recognition: RecognitionResult = field(default_factory=RecognitionResult)
     outcome: NodeOutcome | None = None
     detail: dict[str, Any] = field(default_factory=dict)

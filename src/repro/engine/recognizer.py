@@ -69,7 +69,8 @@ class EntityRecognizer:
         self._concept_surfaces: dict[str, str] = {}
         # first word of a multi-word value -> [(concept, value)]
         self._partial_index: dict[str, list[tuple[str, str]]] = {}
-        # surfaces bucketed by first character, for bounded fuzzy scans
+        # single-word surfaces bucketed by first character, for bounded
+        # fuzzy scans (fuzzy matching never spans words)
         self._fuzzy_buckets: dict[str, list[tuple[str, str, str]]] = {}
 
         for entity in entities:
@@ -87,7 +88,7 @@ class EntityRecognizer:
                             self._partial_index.setdefault(words[0], []).append(
                                 (entity.concept, value.value)
                             )
-                        if len(key) >= 4:
+                        elif len(key) >= 4:
                             self._fuzzy_buckets.setdefault(key[0], []).append(
                                 (key, entity.concept, value.value)
                             )
@@ -113,28 +114,27 @@ class EntityRecognizer:
         used = [False] * len(tokens)
 
         # Pass 1: exact n-gram matches, longest first.
+        stems = [stem(t) for t in tokens]
         for length in range(min(MAX_SURFACE_TOKENS, len(tokens)), 0, -1):
             for start in range(len(tokens) - length + 1):
                 if any(used[start : start + length]):
                     continue
-                gram = " ".join(tokens[start : start + length])
-                stemmed_gram = " ".join(
-                    stem(t) for t in tokens[start : start + length]
-                )
-                if gram in self._instance_surfaces:
-                    concept, value = self._instance_surfaces[gram]
+                end = start + length
+                gram = " ".join(tokens[start:end])
+                hit = self._instance_surfaces.get(gram)
+                if hit is not None:
+                    concept, value = hit
                     result.values.setdefault(concept, value)
-                    for i in range(start, start + length):
+                    for i in range(start, end):
                         used[i] = True
-                elif gram in self._concept_surfaces or (
-                    stemmed_gram in self._concept_surfaces
-                ):
-                    concept = self._concept_surfaces.get(
-                        gram, self._concept_surfaces.get(stemmed_gram)
-                    )
+                    continue
+                concept = self._concept_surfaces.get(gram)
+                if concept is None:
+                    concept = self._concept_surfaces.get(" ".join(stems[start:end]))
+                if concept is not None:
                     if concept not in result.concepts:
                         result.concepts.append(concept)
-                    for i in range(start, start + length):
+                    for i in range(start, end):
                         used[i] = True
 
         # Pass 2: leftover tokens — partial names, then misspellings.
@@ -176,11 +176,9 @@ class EntityRecognizer:
         bucket = self._fuzzy_buckets.get(token[0], [])
         best: tuple[float, str, str, str] | None = None
         for surface, concept, value in bucket:
-            if " " in surface:
-                continue  # fuzzy only against single-word surfaces
             if abs(len(surface) - len(token)) > 2:
                 continue
-            ratio = similarity_ratio(token, surface)
+            ratio = similarity_ratio(token, surface, self.fuzzy_threshold)
             if ratio >= self.fuzzy_threshold and (best is None or ratio > best[0]):
                 best = (ratio, concept, value, surface)
         if best is None:

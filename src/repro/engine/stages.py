@@ -92,7 +92,7 @@ def domain_intent(agent: "ConversationAgent", name: str | None) -> Intent | None
 
 
 def rescue_low_confidence(
-    agent: "ConversationAgent", utterance: str, recognition: RecognitionResult
+    agent: "ConversationAgent", distribution: Any, recognition: RecognitionResult
 ) -> tuple[str, float] | None:
     """Corroborate low-confidence top-k candidates with entities.
 
@@ -103,7 +103,7 @@ def rescue_low_confidence(
     """
     mentioned_concepts = {c.lower() for c in recognition.concepts}
     recognized = {c.lower() for c in recognition.values}
-    candidates = agent.classifier.top_k(utterance, k=3)
+    candidates = agent.classifier.top_k(distribution, k=3)
     # Pass 1: a candidate whose *result concept* was named outranks
     # everything — "pk profile of X" names Pharmacokinetics.
     for candidate in candidates:
@@ -731,6 +731,7 @@ class Classify(AgentStage):
     def run(self, state: TurnState) -> AgentResponse | None:
         agent = self.agent
         prediction = agent.classifier.classify(state.utterance)
+        state.distribution = prediction.distribution
         state.recognition = agent.recognizer.recognize(state.utterance)
         intent_name: str | None = prediction.intent
         confidence = prediction.confidence
@@ -770,7 +771,9 @@ class ManagementRescue(AgentStage):
             and state.recognition.values
             and state.recognition.concepts
         ):
-            rescued = rescue_low_confidence(agent, state.utterance, state.recognition)
+            rescued = rescue_low_confidence(
+                agent, state.distribution, state.recognition
+            )
             if rescued is not None:
                 state.adopt(*rescued)
                 state.annotate(rescued=rescued[0])
@@ -870,7 +873,9 @@ class EntityRescue(AgentStage):
         if state.confidence < agent.tree.confidence_threshold and (
             state.recognition.values or state.recognition.concepts
         ):
-            rescued = rescue_low_confidence(agent, state.utterance, state.recognition)
+            rescued = rescue_low_confidence(
+                agent, state.distribution, state.recognition
+            )
             if rescued is not None:
                 state.adopt(*rescued)
                 state.annotate(rescued=rescued[0])
@@ -923,7 +928,7 @@ class SlotArbitration(AgentStage):
             return None  # the classified intent can proceed — keep it
         mentioned = {c.lower() for c in state.recognition.concepts}
         recognized = {c.lower() for c in state.recognition.values}
-        for candidate in agent.classifier.top_k(state.utterance, k=3):
+        for candidate in agent.classifier.top_k(state.distribution, k=3):
             if candidate.intent == state.intent:
                 continue
             other = domain_intent(agent, candidate.intent)

@@ -11,7 +11,12 @@ or re-plan SQL per request.  :func:`compile_plan` does all of that once:
   keys, nested loop otherwise),
 * pushes sargable WHERE conjuncts (``col = ?`` / ``col IN (...)``) down
   to the table they constrain, so execution probes a lazily-built
-  :meth:`~repro.kb.table.Table.secondary_index` instead of scanning.
+  :meth:`~repro.kb.table.Table.secondary_index` instead of scanning,
+* reduces the base (FROM) table through its filtered joins: an inner
+  equi-join with pushed filters whose left key is a base-table column
+  probes its filtered side first, maps those keys through the base
+  table's index on the join column, and intersects the results, so
+  execution reads only the base rows some join could still match.
 
 The resulting :class:`CompiledPlan` executes with bindings only, and its
 :meth:`CompiledPlan.plan` method renders an EXPLAIN-style description of
@@ -64,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class PlanStep:
     """One step of a query plan, for observability and tests."""
 
-    op: str            # scan | index-lookup | hash-join | nested-loop-join | ...
+    op: str            # scan | index-lookup | semi-join | hash-join | ...
     target: str = ""   # table or binding the step operates on
     detail: str = ""   # human-readable specifics (keys, pushed filters)
 
@@ -89,7 +94,7 @@ class QueryPlan:
     def uses_index(self) -> bool:
         """True when any step probes a secondary index."""
         return any(
-            step.op == "index-lookup" or "index" in step.detail
+            step.op in ("index-lookup", "semi-join") or "index" in step.detail
             for step in self.steps
         )
 
@@ -158,6 +163,13 @@ def _sargable(conjunct: ast.Expression) -> tuple[
     return None
 
 
+def _equi_left_label(step: "_JoinStep") -> str:
+    """The written form of an equi-join's left-side key column."""
+    cond = step.join.condition
+    left = cond.left if cond.left.position == step.equi[0] else cond.right
+    return _expr_label(left)
+
+
 def _split_equi_join(
     condition: ast.Expression, right: BoundTable
 ) -> tuple[int, int] | None:
@@ -194,6 +206,9 @@ class _JoinStep:
     table: "Table"
     equi: tuple[int, int] | None   # (left row index, right column position)
     pushed: tuple[_PushedFilter, ...]
+    #: An inner equi-join with pushed filters keyed on a base-table
+    #: column: its filtered side reduces the base table (semi-join).
+    reduces_base: bool = False
 
 
 class CompiledPlan:
@@ -213,19 +228,17 @@ class CompiledPlan:
         sql: str | None = None,
         use_indexes: bool = True,
     ) -> None:
-        self.database = database
         self.select = select
         self.sql = sql
         self.use_indexes = use_indexes
         self.schema_generation = getattr(database, "schema_generation", 0)
         self.executions = 0
         self.index_probes = 0
-        self._compile()
+        self._compile(database)
 
     # -- compilation ---------------------------------------------------------
 
-    def _compile(self) -> None:
-        database = self.database
+    def _compile(self, database: "Database") -> None:
         self.bound = bind(self.select, database.schema())
         select = self.bound.select
         tables = [database.table(t.schema.name) for t in self.bound.tables]
@@ -252,17 +265,22 @@ class CompiledPlan:
                 col.position - self.bound.tables[segment].offset, values, label
             ))
         self.base_pushed: tuple[_PushedFilter, ...] = tuple(pushed[0])
-        self.join_steps = [
-            _JoinStep(
+        base_width = self.bound.tables[0].width
+        self.join_steps = []
+        for join, table, bound_table, filters in zip(
+            select.joins, tables[1:], self.bound.tables[1:], pushed[1:]
+        ):
+            equi = _split_equi_join(join.condition, bound_table)
+            self.join_steps.append(_JoinStep(
                 join=join,
                 table=table,
-                equi=_split_equi_join(join.condition, bound_table),
+                equi=equi,
                 pushed=tuple(filters),
-            )
-            for join, table, bound_table, filters in zip(
-                select.joins, tables[1:], self.bound.tables[1:], pushed[1:]
-            )
-        ]
+                reduces_base=(
+                    self.use_indexes and join.kind == "inner" and bool(filters)
+                    and equi is not None and equi[0] < base_width
+                ),
+            ))
         self._compile_projection(select)
 
     def _compile_projection(self, select: ast.Select) -> None:
@@ -327,11 +345,20 @@ class CompiledPlan:
         """The EXPLAIN-style description of this plan's decisions."""
         steps: list[PlanStep] = []
         base_name = self.base_table.name
-        if self.use_indexes and self.base_pushed:
-            steps.append(PlanStep(
-                "index-lookup", base_name,
-                ", ".join(f.label for f in self.base_pushed),
-            ))
+        base_filters = ", ".join(f.label for f in self.base_pushed)
+        reducers = [step for step in self.join_steps if step.reduces_base]
+        if reducers:
+            parts = [f"index-lookup {base_filters}"] if base_filters else []
+            parts.extend(
+                "{} IN {} ({})".format(
+                    _equi_left_label(step), step.table.name,
+                    ", ".join(f.label for f in step.pushed),
+                )
+                for step in reducers
+            )
+            steps.append(PlanStep("semi-join", base_name, "; ".join(parts)))
+        elif self.use_indexes and self.base_pushed:
+            steps.append(PlanStep("index-lookup", base_name, base_filters))
         else:
             steps.append(PlanStep("scan", base_name))
         for step in self.join_steps:
@@ -397,14 +424,33 @@ class CompiledPlan:
                 break
         return sorted(result or ())
 
-    def _base_rows(self, params: dict[str, Any]) -> list[tuple]:
-        if self.use_indexes and self.base_pushed:
-            positions = self._probe_positions(
-                self.base_table, self.base_pushed, params
-            )
-            stored = self.base_table.rows
-            return [stored[p] for p in positions]
-        return list(self.base_table.rows)
+    def _base_rows(
+        self, params: dict[str, Any], probed: dict[int, list[tuple]]
+    ) -> list[tuple]:
+        """The base rows the joins and WHERE can still keep, in scan order.
+
+        A reducing join becomes one more filter on the base table: its
+        left key must equal a key of the join's filtered right rows.
+        Those rows are recorded in ``probed`` (by step position) for
+        :meth:`_apply_join` to reuse.
+        """
+        stored = self.base_table.rows
+        if not self.use_indexes:
+            return list(stored)
+        filters = list(self.base_pushed)
+        for number, step in enumerate(self.join_steps):
+            if step.reduces_base:
+                right_rows = probed[number] = self._right_rows(step, params)
+                left_idx, right_col = step.equi
+                filters.append(_PushedFilter(
+                    left_idx,
+                    tuple(ast.Literal(row[right_col]) for row in right_rows),
+                    "",
+                ))
+        if not filters:
+            return list(stored)
+        positions = self._probe_positions(self.base_table, tuple(filters), params)
+        return [stored[p] for p in positions]
 
     def _right_rows(self, step: _JoinStep, params: dict[str, Any]) -> list[tuple]:
         if self.use_indexes and step.pushed:
@@ -414,8 +460,14 @@ class CompiledPlan:
         return list(step.table.rows)
 
     def _apply_join(
-        self, step: _JoinStep, rows: list[tuple], params: dict[str, Any]
+        self,
+        step: _JoinStep,
+        rows: list[tuple],
+        params: dict[str, Any],
+        right_rows: list[tuple] | None = None,
     ) -> list[tuple]:
+        if not rows:
+            return []
         join = step.join
         right_width = len(step.table.schema.columns)
         new_rows: list[tuple] = []
@@ -443,7 +495,8 @@ class CompiledPlan:
             # Per-execution hash join over the (possibly prefiltered)
             # right rows.  NULL keys are excluded on both sides — NULL
             # never equals NULL.
-            right_rows = self._right_rows(step, params)
+            if right_rows is None:
+                right_rows = self._right_rows(step, params)
             index_map: dict[Any, list[tuple]] = {}
             for rrow in right_rows:
                 key = rrow[right_col]
@@ -480,9 +533,10 @@ class CompiledPlan:
         self.executions += 1
         select = self.select
 
-        rows = self._base_rows(params)
-        for step in self.join_steps:
-            rows = self._apply_join(step, rows, params)
+        probed: dict[int, list[tuple]] = {}
+        rows = self._base_rows(params, probed)
+        for number, step in enumerate(self.join_steps):
+            rows = self._apply_join(step, rows, params, probed.get(number))
 
         where = self.bound.select.where
         if where is not None:

@@ -482,6 +482,35 @@ def _admit_param(value: Any, classes: frozenset[str]) -> tuple[bool, Any]:
     return True, value
 
 
+class _SQLiteRunner:
+    """The connection, and its execution-path counters, that a backend
+    shares with its plans.
+
+    Plans hold this rather than the backend, so backend → plan cache →
+    plan never leads back to the backend, and a backend swapped out by
+    a refresh is freed as soon as nothing else holds it.
+    """
+
+    def __init__(self, connection: sqlite3.Connection) -> None:
+        self.connection = connection
+        # sqlite3 serializes on its own for safety, but the module-level
+        # threadsafety varies by build; one explicit lock keeps the
+        # execute+fetch pair atomic under concurrent serving threads.
+        self.lock = threading.Lock()
+        # Best-effort (unlocked) telemetry, like the table index counters.
+        self.lowered_total = 0
+        self.fallback_total = 0
+
+    def execute(self, sql: str, bound: Mapping[str, Any]) -> list[tuple[Any, ...]]:
+        try:
+            with self.lock:
+                cursor = self.connection.execute(sql, dict(bound))
+                rows = cursor.fetchall()
+        except sqlite3.Error as exc:
+            raise SQLExecutionError(f"sqlite execution failed: {exc}") from exc
+        return rows
+
+
 class SQLitePlan:
     """A compiled plan against :class:`SQLiteBackend`.
 
@@ -495,7 +524,7 @@ class SQLitePlan:
     """
 
     def __init__(self, backend: "SQLiteBackend", sql: str, use_indexes: bool = True) -> None:
-        self.backend = backend
+        self._runner = backend._runner
         self.sql = sql
         self.use_indexes = use_indexes
         self.schema_generation = backend.schema_generation
@@ -544,7 +573,7 @@ class SQLitePlan:
                 # compares false.  Reroute, don't guess.
                 return self._run_fallback(params)
             bound[name] = converted
-        rows = self.backend._execute_sql(lowered.sql, bound)
+        rows = self._runner.execute(lowered.sql, bound)
         if lowered.bool_positions:
             bool_set = set(lowered.bool_positions)
             rows = [
@@ -555,12 +584,12 @@ class SQLitePlan:
                 for row in rows
             ]
         self.lowered_executions += 1
-        self.backend.lowered_total += 1
+        self._runner.lowered_total += 1
         return ResultSet(columns=list(lowered.columns), rows=rows)
 
     def _run_fallback(self, params: Mapping[str, Any] | None) -> ResultSet:
         self.fallback_executions += 1
-        self.backend.fallback_total += 1
+        self._runner.fallback_total += 1
         return self.fallback.execute(params)
 
     def plan(self) -> QueryPlan:
@@ -604,13 +633,9 @@ class SQLiteBackend:
             if self.path != ":memory:" and not os.path.exists(self.path):
                 raise KBError(f"no SQLite KB database at {self.path!r}")
             connection = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn = connection
-        # sqlite3 serializes on its own for safety, but the module-level
-        # threadsafety varies by build; one explicit lock keeps the
-        # execute+fetch pair atomic under concurrent serving threads.
-        self._conn_lock = threading.Lock()
-        self._conn.create_collation("repro_nocase", _nocase_collation)
-        self._conn.create_function("repro_like", 2, _sql_like, deterministic=True)
+        self._runner = _SQLiteRunner(connection)
+        connection.create_collation("repro_nocase", _nocase_collation)
+        connection.create_function("repro_like", 2, _sql_like, deterministic=True)
         meta = self._read_meta()
         self.name = meta.get("database", "kb")
         self._generation = int(meta.get("generation", 0))
@@ -621,10 +646,7 @@ class SQLiteBackend:
             self._schemas[schema.name.lower()] = schema
         self._mirror_db: Database | None = None
         self._mirror_lock = threading.Lock()
-        self._plan_cache = PlanCache(compile_factory=self._compile_plan)
-        # Best-effort (unlocked) telemetry, like the table index counters.
-        self.lowered_total = 0
-        self.fallback_total = 0
+        self._plan_cache = PlanCache(compile_factory=SQLitePlan)
 
     # -- construction --------------------------------------------------------
 
@@ -725,9 +747,10 @@ class SQLiteBackend:
             )
 
     def _read_meta(self) -> dict:
+        runner = self._runner
         try:
-            with self._conn_lock:
-                rows = self._conn.execute(
+            with runner.lock:
+                rows = runner.connection.execute(
                     f'SELECT "value" FROM {_quote_ident(META_TABLE)} '
                     "WHERE \"key\" = 'manifest'"
                 ).fetchall()
@@ -771,7 +794,7 @@ class SQLiteBackend:
                 f"SELECT {columns} FROM {_quote_ident(schema.name)} "
                 f"ORDER BY {_quote_ident(POSITION_COLUMN)}"
             )
-            rows = self._execute_sql(sql, {})
+            rows = self._runner.execute(sql, {})
             table = mirror.table(schema.name)
             for row in rows:
                 # Table coercion restores booleans from their 0/1
@@ -779,20 +802,6 @@ class SQLiteBackend:
                 # database already enforced it).
                 table.insert(list(row))
         return mirror
-
-    def _execute_sql(
-        self, sql: str, bound: Mapping[str, Any]
-    ) -> list[tuple[Any, ...]]:
-        try:
-            with self._conn_lock:
-                cursor = self._conn.execute(sql, dict(bound))
-                rows = cursor.fetchall()
-        except sqlite3.Error as exc:
-            raise SQLExecutionError(f"sqlite execution failed: {exc}") from exc
-        return rows
-
-    def _compile_plan(self, database: Any, sql: str, use_indexes: bool) -> SQLitePlan:
-        return SQLitePlan(self, sql, use_indexes=use_indexes)
 
     # -- KBBackend protocol --------------------------------------------------
 
@@ -835,7 +844,8 @@ class SQLiteBackend:
 
     def execution_paths(self) -> dict[str, int]:
         """Executions by physical path (``sql`` = lowered, ``fallback``)."""
-        return {"sql": self.lowered_total, "fallback": self.fallback_total}
+        runner = self._runner
+        return {"sql": runner.lowered_total, "fallback": runner.fallback_total}
 
     def statistics(self, table_name: str) -> TableStatistics:
         return compute_table_statistics(self._mirror().table(table_name))
@@ -855,7 +865,7 @@ class SQLiteBackend:
         raise KBError("SQLite KB backend is read-only: create_table is not allowed")
 
     def close(self) -> None:
-        self._conn.close()
+        self._runner.connection.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SQLiteBackend({self.path!r}, tables={len(self._schemas)})"

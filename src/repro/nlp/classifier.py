@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +125,13 @@ class IntentPrediction:
 
     intent: str
     confidence: float
+    #: The probability vector over :attr:`IntentClassifier.intents` this
+    #: prediction was read from, so :meth:`IntentClassifier.top_k` can
+    #: rank the utterance without scoring it again.  ``None`` on the
+    #: ranked predictions ``top_k`` itself returns.
+    distribution: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def is_confident(self, threshold: float) -> bool:
         """True when the confidence meets ``threshold``."""
@@ -185,18 +192,23 @@ class IntentClassifier:
         assert self.model.classes_ is not None
         best = probs.argmax(axis=1)
         return [
-            IntentPrediction(self.model.classes_[idx], float(probs[row, idx]))
+            IntentPrediction(
+                self.model.classes_[idx], float(probs[row, idx]), probs[row]
+            )
             for row, idx in enumerate(best)
         ]
 
-    def top_k(self, utterance: str, k: int = 3) -> list[IntentPrediction]:
-        """The ``k`` most likely intents for ``utterance``, best first."""
+    def top_k(self, distribution: np.ndarray, k: int = 3) -> list[IntentPrediction]:
+        """The ``k`` most likely intents of a scored utterance, best first.
+
+        ``distribution`` is an :attr:`IntentPrediction.distribution` from
+        :meth:`classify`; ranking it scores nothing again.
+        """
         if not self._fitted:
             raise NotFittedError("IntentClassifier is not fitted")
-        features = self.vectorizer.transform([utterance])
-        probs = self.model.predict_proba(features)[0]
         assert self.model.classes_ is not None
-        order = np.argsort(probs)[::-1][:k]
+        order = np.argsort(distribution)[::-1][:k]
         return [
-            IntentPrediction(self.model.classes_[i], float(probs[i])) for i in order
+            IntentPrediction(self.model.classes_[i], float(distribution[i]))
+            for i in order
         ]

@@ -83,7 +83,11 @@ class Tokenizer:
 
     def ngrams(self, text: str, n: int) -> list[str]:
         """Word n-grams over the tokenized text (joined with spaces)."""
-        tokens = self(text)
-        if n <= 1:
-            return tokens
-        return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+        return word_ngrams(self(text), n)
+
+
+def word_ngrams(tokens: list[str], n: int) -> list[str]:
+    """Word n-grams over already-tokenized text (joined with spaces)."""
+    if n <= 1:
+        return tokens
+    return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]

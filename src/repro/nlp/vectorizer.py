@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import NotFittedError
-from repro.nlp.tokenizer import Tokenizer, normalize
+from repro.nlp.tokenizer import Tokenizer, normalize, word_ngrams
 
 
 class TfidfVectorizer:
@@ -56,21 +56,26 @@ class TfidfVectorizer:
         self.tokenizer = tokenizer or Tokenizer()
         self.vocabulary_: dict[str, int] | None = None
         self.idf_: np.ndarray | None = None
+        #: ``idf_`` as plain floats, for the per-feature loop.
+        self._idf_values: list[float] = []
 
     # -- feature extraction ---------------------------------------------------
 
     def _features(self, text: str) -> Counter:
+        # Counter.update keeps first-seen key order, which fixes the
+        # summation order of each row's norm in _vectorize.
         counts: Counter = Counter()
+        tokens = self.tokenizer(text)
         lo, hi = self.word_ngrams
         for n in range(lo, hi + 1):
-            for gram in self.tokenizer.ngrams(text, n):
-                counts[f"w:{gram}"] += 1
+            counts.update(["w:" + gram for gram in word_ngrams(tokens, n)])
         if self.char_ngrams is not None:
             padded = f" {normalize(text)} "
             clo, chi = self.char_ngrams
             for n in range(clo, chi + 1):
-                for i in range(len(padded) - n + 1):
-                    counts[f"c:{padded[i : i + n]}"] += 1
+                counts.update(
+                    ["c:" + padded[i : i + n] for i in range(len(padded) - n + 1)]
+                )
         return counts
 
     # -- fitting -------------------------------------------------------------
@@ -107,6 +112,7 @@ class TfidfVectorizer:
             idf[index] = math.log((1 + n_docs) / (1 + doc_freq[feature])) + 1.0
         self.vocabulary_ = vocabulary
         self.idf_ = idf
+        self._idf_values = idf.tolist()
 
     def transform(self, documents: Iterable[str]) -> sparse.csr_matrix:
         """Vectorize ``documents`` using the fitted vocabulary."""
@@ -116,6 +122,11 @@ class TfidfVectorizer:
 
     def _vectorize(self, all_features: Iterable[Counter]) -> sparse.csr_matrix:
         assert self.vocabulary_ is not None and self.idf_ is not None
+        vocabulary = self.vocabulary_
+        # Plain floats: a numpy scalar lookup per feature costs more than
+        # the arithmetic, and float64 products round the same either way.
+        idf = self._idf_values
+        log = math.log
         indptr = [0]
         indices: list[int] = []
         data: list[float] = []
@@ -123,20 +134,26 @@ class TfidfVectorizer:
         for feats in all_features:
             n_seen += 1
             row: dict[int, float] = {}
+            norm_sq = 0.0
             for feature, count in feats.items():
-                idx = self.vocabulary_.get(feature)
+                idx = vocabulary.get(feature)
                 if idx is not None:
-                    # Sublinear TF dampens repeated tokens in long queries.
-                    row[idx] = (1.0 + math.log(count)) * self.idf_[idx]
-            norm = math.sqrt(sum(v * v for v in row.values()))
+                    # Sublinear TF dampens repeated tokens in long queries
+                    # (1 + log 1 is exactly 1, so a single count is idf).
+                    weight = (
+                        idf[idx] if count == 1 else (1.0 + log(count)) * idf[idx]
+                    )
+                    row[idx] = weight
+                    norm_sq += weight * weight
+            norm = math.sqrt(norm_sq)
             if norm > 0:
-                for idx in sorted(row):
-                    indices.append(idx)
-                    data.append(row[idx] / norm)
+                ordered = sorted(row)
+                indices.extend(ordered)
+                data.extend([row[idx] / norm for idx in ordered])
             indptr.append(len(indices))
         return sparse.csr_matrix(
             (np.asarray(data), np.asarray(indices, dtype=np.int64), indptr),
-            shape=(n_seen, len(self.vocabulary_)),
+            shape=(n_seen, len(vocabulary)),
         )
 
     def known_word_fraction(self, text: str) -> float:

@@ -13,7 +13,7 @@ from many request threads at once.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, insort
+from array import array
 from typing import Callable, Iterable
 
 #: Default latency bucket upper bounds, in seconds.
@@ -22,7 +22,7 @@ DEFAULT_BUCKETS = (
 )
 
 #: How many raw observations a histogram retains for exact quantiles.
-#: Beyond this the reservoir drops the oldest sample (sliding window).
+#: Beyond this each sample overwrites the oldest (sliding window).
 RESERVOIR_SIZE = 4096
 
 
@@ -49,9 +49,11 @@ class Histogram:
     """A thread-safe latency histogram with exact sliding-window quantiles.
 
     Keeps cumulative bucket counts (for the rendered ``_bucket`` series)
-    plus a bounded reservoir of raw observations ordered by value, so
-    :meth:`quantile` is exact over the most recent ``RESERVOIR_SIZE``
-    samples rather than interpolated from bucket bounds.
+    plus a fixed ring of the most recent ``RESERVOIR_SIZE`` raw
+    observations, stored as doubles.  Observing writes one slot; reads
+    copy the ring under the lock and sort the copy outside it, so
+    :meth:`quantile` is exact over the window rather than interpolated
+    from bucket bounds.
     """
 
     def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
@@ -60,48 +62,40 @@ class Histogram:
         self._bucket_counts = [0] * (len(self.buckets) + 1)  # +Inf tail
         self.count = 0
         self.sum = 0.0
-        self._window: list[float] = []   # insertion order (oldest first)
-        self._ordered: list[float] = []  # same samples, sorted
+        self._ring = array("d")  # grows to RESERVOIR_SIZE, then wraps
 
     def observe(self, value: float) -> None:
         with self._lock:
-            self.count += 1
-            self.sum += value
             for i, bound in enumerate(self.buckets):
                 if value <= bound:
                     self._bucket_counts[i] += 1
                     break
             else:
                 self._bucket_counts[-1] += 1
-            self._window.append(value)
-            insort(self._ordered, value)
-            if len(self._window) > RESERVOIR_SIZE:
-                oldest = self._window.pop(0)
-                # Remove one occurrence of the oldest sample from the
-                # ordered view; identical floats are interchangeable.
-                self._ordered.pop(bisect_left(self._ordered, oldest))
+            if len(self._ring) < RESERVOIR_SIZE:
+                self._ring.append(value)
+            else:
+                self._ring[self.count % RESERVOIR_SIZE] = value
+            self.count += 1
+            self.sum += value
 
     def quantile(self, q: float) -> float:
         """The ``q``-quantile (0..1) of the retained samples (0.0 if empty)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be within [0, 1]")
         with self._lock:
-            if not self._ordered:
-                return 0.0
-            index = min(len(self._ordered) - 1, int(q * len(self._ordered)))
-            return self._ordered[index]
+            window = self._ring[:]
+        return _pick(sorted(window), q)
 
     def snapshot(self) -> dict[str, float]:
         """count/sum/p50/p95/p99 in one consistent read."""
         with self._lock:
-            ordered = self._ordered
             out = {"count": float(self.count), "sum": self.sum}
-            for name, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-                if ordered:
-                    out[name] = ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-                else:
-                    out[name] = 0.0
-            return out
+            window = self._ring[:]
+        ordered = sorted(window)
+        for name, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+            out[name] = _pick(ordered, q)
+        return out
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """Cumulative (upper_bound, count) pairs, ending with +Inf."""
@@ -112,6 +106,13 @@ class Histogram:
                 out.append((bound, cumulative))
             out.append((float("inf"), cumulative + self._bucket_counts[-1]))
             return out
+
+
+def _pick(ordered: list[float], q: float) -> float:
+    """The ``q``-quantile of sorted samples (0.0 when there are none)."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class MetricsRegistry:

@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.diagnostics import Severity
 from repro.analysis.type_checker import check_space_types
 from repro.bootstrap import bootstrap_conversation_space
+from repro.errors import SQLExecutionError
 from repro.nlq.templates import StructuredQueryTemplate
 from tests.conftest import make_toy_database
 
@@ -157,6 +158,25 @@ def test_t008_plain_column_beside_aggregate(space):
     )
     hit = _only(check_space_types(space), "T008")
     assert hit.severity is Severity.ERROR
+
+
+def test_t008_same_name_on_another_table_is_not_grouped(space):
+    # x.name and d.name share a column name but not a column: the
+    # executor rejects this at prepare, so T008 must report it.
+    sql = (
+        "SELECT x.name, COUNT(*) FROM drug d "
+        "JOIN indication x ON x.ind_id = d.drug_id GROUP BY d.name"
+    )
+    _seed(space, sql)
+    hit = _only(check_space_types(space), "T008")
+    assert "x.name" in hit.message
+    with pytest.raises(SQLExecutionError, match="must appear in GROUP BY"):
+        space.database.prepare(sql)
+
+
+def test_t008_grouped_column_passes_qualified_or_not(space):
+    _seed(space, "SELECT name, COUNT(*) FROM drug d GROUP BY d.name")
+    assert "T008" not in _codes(check_space_types(space))
 
 
 def test_t008_numeric_aggregate_over_text(space):

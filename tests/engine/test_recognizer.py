@@ -133,3 +133,50 @@ class TestHelpers:
     def test_has_any_entity(self, recognizer):
         assert recognizer.recognize("aspirin").has_any_entity()
         assert not recognizer.recognize("hello").has_any_entity()
+
+
+class TestBoundedFuzzyScan:
+    """The threshold-bounded fuzzy scan against the unbounded one, on
+    one-edit typos of every single-word surface of the MDX space."""
+
+    @staticmethod
+    def _typos(word):
+        middle = len(word) // 2
+        swapped = "z" if word[middle] != "z" else "q"
+        return {
+            word[:middle] + word[middle + 1:],             # deletion
+            word[:middle] + swapped + word[middle + 1:],   # substitution
+            word[:middle] + "e" + word[middle:],           # insertion
+            word[1:] if len(word) > 1 else word,           # first letter lost
+            word + "s",                                    # trailing letter
+        }
+
+    def test_same_matches_as_the_unbounded_scan(self, mdx_agent, monkeypatch):
+        from repro.engine import recognizer as module
+        from repro.nlp.similarity import similarity_ratio
+        from repro.nlp.tokenizer import tokenize
+
+        surfaces = sorted({
+            key
+            for entity in mdx_agent.space.entities
+            if entity.kind == "instance" and entity.concept
+            for value in entity.values
+            for form in value.surface_forms()
+            for key in [" ".join(tokenize(form))]
+            if key and " " not in key
+        })
+        typos = sorted({
+            typo for word in surfaces for typo in self._typos(word)
+            if tokenize(typo) == [typo]
+        })
+        assert len(surfaces) > 100
+        recognizer = mdx_agent.recognizer
+        bounded = [recognizer.recognize(t) for t in typos]
+        monkeypatch.setattr(
+            module, "similarity_ratio",
+            lambda a, b, threshold=None: similarity_ratio(a, b),
+        )
+        unbounded = [recognizer.recognize(t) for t in typos]
+        assert bounded == unbounded
+        fuzzy = sum(1 for result in bounded if result.fuzzy_matches)
+        assert fuzzy > len(surfaces) // 2

@@ -5,6 +5,7 @@ dedicated test of its contract: the state it refines (or the final
 response it produces) and the conditions under which it passes.
 """
 
+import numpy as np
 import pytest
 
 from repro.dialogue.context import ConversationContext
@@ -45,6 +46,20 @@ class TestClassify:
         detail = state.pop_detail()
         assert detail["intent"] == "Precaution of Drug"
         assert detail["entities"] == 1
+
+    def test_stores_the_scored_distribution(self, toy_agent):
+        # The distribution the ranking stages read is exactly the one a
+        # fresh scoring of the utterance gives, for every training one.
+        classifier = toy_agent.classifier
+        utterances = [e.utterance for e in toy_agent.space.training_examples]
+        assert utterances
+        for utterance in utterances:
+            state = TurnState(utterance=utterance, context=ConversationContext())
+            st.Classify(toy_agent).run(state)
+            expected = classifier.model.predict_proba(
+                classifier.vectorizer.transform([utterance])
+            )[0]
+            assert np.array_equal(state.distribution, expected), utterance
 
     def test_gibberish_guard_clears_the_intent(self, toy_agent):
         state = TurnState(

@@ -341,3 +341,132 @@ class TestGenerations:
         assert clone.query("SELECT name FROM drug WHERE drug_id = 1").rows == [
             ("Aspirin",)
         ]
+
+
+class TestSemiJoinReduction:
+    """An inner equi-join with pushed filters, keyed on a FROM-table
+    column, reduces the FROM table before any join runs.  Every case
+    runs the scan path, the indexed path and the SQLite backend."""
+
+    @pytest.fixture
+    def rx(self) -> Database:
+        db = Database("semi-join-test")
+        db.create_table(TableSchema("drug", [
+            Column("drug_id", DataType.INTEGER),
+            Column("name", DataType.TEXT),
+        ], primary_key="drug_id"))
+        db.create_table(TableSchema("route", [
+            Column("route_id", DataType.INTEGER),
+            Column("label", DataType.TEXT),
+        ], primary_key="route_id"))
+        db.create_table(TableSchema("dose", [
+            Column("dose_id", DataType.INTEGER),
+            Column("drug_id", DataType.INTEGER, nullable=True),
+            Column("route_id", DataType.INTEGER, nullable=True),
+            Column("amount", DataType.FLOAT),
+        ], primary_key="dose_id"))
+        for drug_id, name in ((1, "Aspirin"), (2, "Ibuprofen"), (3, "Heparin")):
+            db.insert("drug", {"drug_id": drug_id, "name": name})
+        for route_id, label in ((1, "oral"), (2, "iv")):
+            db.insert("route", {"route_id": route_id, "label": label})
+        for dose_id, drug_id, route_id, amount in (
+            (10, 1, 1, 100.0), (11, 2, 1, 200.0), (12, 1, 2, 300.0),
+            (13, None, 1, 50.0), (14, 3, None, 75.0), (15, 1, 1, 100.0),
+        ):
+            db.insert("dose", {"dose_id": dose_id, "drug_id": drug_id,
+                               "route_id": route_id, "amount": amount})
+        return db
+
+    @staticmethod
+    def every_engine(db, sql, params=None):
+        from repro.kb.backend import wrap_database
+
+        indexed = both_paths(db, sql, params)
+        sqlite = wrap_database(db, "sqlite").prepare(sql).execute(params)
+        typed = [[(type(v).__name__, v) for v in row] for row in indexed.rows]
+        assert typed == [
+            [(type(v).__name__, v) for v in row] for row in sqlite.rows
+        ]
+        return indexed
+
+    def test_plan_names_the_semi_join(self, rx):
+        sql = (
+            "SELECT o.dose_id FROM dose o "
+            "JOIN drug d ON o.drug_id = d.drug_id WHERE d.name = :n"
+        )
+        plan = rx.prepare(sql).plan()
+        assert plan.ops()[0] == "semi-join"
+        assert plan.steps[0].detail == "o.drug_id IN drug (d.name = :n)"
+        assert plan.uses_index
+        assert rx.prepare(sql, use_indexes=False).plan().ops()[0] == "scan"
+
+    def test_null_foreign_key_never_survives(self, rx):
+        # dose 13 has no drug: the base index holds no NULL key.
+        result = self.every_engine(
+            rx,
+            "SELECT o.dose_id FROM dose o "
+            "JOIN drug d ON o.drug_id = d.drug_id WHERE d.name = :n",
+            {"n": "aspirin"},
+        )
+        assert result.rows == [(10,), (12,), (15,)]
+
+    def test_null_key_on_the_filtered_side(self, rx):
+        # Reducing drug through dose: dose 13's NULL drug_id matches nothing.
+        sql = (
+            "SELECT d.name FROM drug d "
+            "JOIN dose o ON d.drug_id = o.drug_id WHERE o.amount = :a"
+        )
+        assert rx.prepare(sql).plan().ops()[0] == "semi-join"
+        assert self.every_engine(rx, sql, {"a": 50.0}).rows == []
+        assert self.every_engine(rx, sql, {"a": 100.0}).rows == [
+            ("Aspirin",), ("Aspirin",)
+        ]
+
+    def test_left_join_is_left_alone(self, rx):
+        sql = (
+            "SELECT o.dose_id, d.name FROM dose o "
+            "LEFT JOIN drug d ON o.drug_id = d.drug_id "
+            "WHERE d.name = :n ORDER BY o.dose_id"
+        )
+        assert rx.prepare(sql).plan().ops()[0] == "scan"
+        result = self.every_engine(rx, sql, {"n": "ibuprofen"})
+        assert result.rows == [(11, "Ibuprofen")]
+
+    def test_two_pushed_steps_intersect(self, rx):
+        sql = (
+            "SELECT o.dose_id, d.name, r.label FROM dose o "
+            "JOIN drug d ON o.drug_id = d.drug_id "
+            "JOIN route r ON o.route_id = r.route_id "
+            "WHERE d.name = :n AND r.label = :r"
+        )
+        step = rx.prepare(sql).plan().steps[0]
+        assert step.op == "semi-join"
+        assert "o.drug_id IN drug" in step.detail
+        assert "o.route_id IN route" in step.detail
+        result = self.every_engine(rx, sql, {"n": "aspirin", "r": "oral"})
+        assert result.rows == [(10, "Aspirin", "oral"), (15, "Aspirin", "oral")]
+        # Each filter alone matches rows; together they match none.
+        assert self.every_engine(rx, sql, {"n": "ibuprofen", "r": "iv"}).rows == []
+
+    def test_reduction_meets_the_base_filter(self, rx):
+        sql = (
+            "SELECT o.dose_id FROM dose o "
+            "JOIN drug d ON o.drug_id = d.drug_id "
+            "WHERE o.amount = :a AND d.name = :n"
+        )
+        step = rx.prepare(sql).plan().steps[0]
+        assert step.detail.startswith("index-lookup o.amount = :a; ")
+        assert self.every_engine(rx, sql, {"a": 100.0, "n": "aspirin"}).rows == [
+            (10,), (15,)
+        ]
+        assert self.every_engine(rx, sql, {"a": 200.0, "n": "aspirin"}).rows == []
+
+    def test_empty_probe(self, rx):
+        sql = (
+            "SELECT o.dose_id, d.name FROM dose o "
+            "JOIN drug d ON o.drug_id = d.drug_id "
+            "JOIN route r ON o.route_id = r.route_id "
+            "WHERE d.name = :n AND r.label = :r ORDER BY o.amount DESC"
+        )
+        assert self.every_engine(rx, sql, {"n": "nothing", "r": "oral"}).rows == []
+        assert self.every_engine(rx, sql, {"n": None, "r": "oral"}).rows == []

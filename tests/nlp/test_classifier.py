@@ -85,10 +85,41 @@ class TestIntentClassifier:
         assert single == batch
 
     def test_top_k_ordering(self, fitted):
-        top = fitted.top_k("precautions for aspirin", k=3)
+        scored = fitted.classify("precautions for aspirin")
+        top = fitted.top_k(scored.distribution, k=3)
         assert len(top) == 3
         assert top[0].confidence >= top[1].confidence >= top[2].confidence
         assert top[0].intent == "precaution"
+
+    def test_distribution_is_the_scored_row(self, fitted):
+        for utterance in UTTERANCES + ["dosage of tylenol", "apfjhd"]:
+            expected = fitted.model.predict_proba(
+                fitted.vectorizer.transform([utterance])
+            )[0]
+            prediction = fitted.classify(utterance)
+            assert np.array_equal(prediction.distribution, expected)
+            assert prediction.confidence == float(expected.max())
+
+    def test_top_k_ranks_without_scoring(self, fitted, monkeypatch):
+        distribution = fitted.classify("what treats fever").distribution
+        expected = [
+            (fitted.intents[i], float(distribution[i]))
+            for i in np.argsort(distribution)[::-1][:2]
+        ]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("top_k must not score the utterance again")
+
+        monkeypatch.setattr(fitted.vectorizer, "transform", fail)
+        monkeypatch.setattr(fitted.model, "predict_proba", fail)
+        top = fitted.top_k(distribution, k=2)
+        assert [(p.intent, p.confidence) for p in top] == expected
+
+    def test_distribution_does_not_affect_equality(self, fitted):
+        prediction = fitted.classify("dosage for aspirin")
+        assert prediction == type(prediction)(
+            prediction.intent, prediction.confidence
+        )
 
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):

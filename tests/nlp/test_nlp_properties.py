@@ -36,6 +36,40 @@ def test_similarity_ratio_in_unit_interval(a, b):
     assert 0.0 <= similarity_ratio(a, b) <= 1.0
 
 
+#: Thresholds drawn freely, plus ones that land exactly on a ratio
+#: ``1 - d / n``, where the bounded limit must keep ``d`` itself.
+_threshold = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.84, 0.8, 0.5]),
+    st.builds(
+        lambda n, d: 1.0 - min(d, n) / n,
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=12),
+    ),
+)
+
+
+@given(_word, _word, _threshold)
+@settings(max_examples=300)
+def test_bounded_similarity_is_exact_at_or_above_threshold(a, b, threshold):
+    exact = similarity_ratio(a, b)
+    bounded = similarity_ratio(a, b, threshold)
+    if exact >= threshold or bounded >= threshold:
+        assert bounded == exact
+    else:
+        assert bounded < threshold
+
+
+@given(_word, _word, st.integers(min_value=0, max_value=12))
+def test_levenshtein_limit_is_exact_within_it(a, b, limit):
+    exact = levenshtein(a, b)
+    bounded = levenshtein(a, b, limit)
+    if exact <= limit:
+        assert bounded == exact
+    else:
+        assert bounded > limit
+
+
 @given(st.sets(_word), st.sets(_word))
 def test_jaccard_in_unit_interval(a, b):
     assert 0.0 <= jaccard_similarity(a, b) <= 1.0

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
 import threading
+from collections import deque
 
 import pytest
 
 from repro.serving import Counter, Histogram, MetricsRegistry
+from repro.serving.metrics import RESERVOIR_SIZE
 
 
 class TestCounter:
@@ -47,6 +50,27 @@ class TestHistogram:
         assert snap["count"] == 100
         assert snap["sum"] == pytest.approx(sum(range(1, 101)) / 1000)
         assert snap["p50"] == pytest.approx(0.051)
+
+    def test_window_wraps_like_a_bounded_deque(self):
+        rng = random.Random(25)
+        histogram = Histogram()
+        reference: deque[float] = deque(maxlen=RESERVOIR_SIZE)
+        checkpoints = {1, RESERVOIR_SIZE - 1, RESERVOIR_SIZE, RESERVOIR_SIZE + 1,
+                       2 * RESERVOIR_SIZE + 7, 3 * RESERVOIR_SIZE}
+        for n in range(1, 3 * RESERVOIR_SIZE + 1):
+            # Repeated values exercise ties between old and new samples.
+            value = rng.choice((0.5, rng.random()))
+            histogram.observe(value)
+            reference.append(value)
+            if n not in checkpoints:
+                continue
+            ordered = sorted(reference)
+            for q in (0.0, 0.25, 0.5, 0.95, 0.99, 1.0):
+                expected = ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+                assert histogram.quantile(q) == expected
+            snap = histogram.snapshot()
+            assert snap["count"] == n
+            assert snap["p99"] == histogram.quantile(0.99)
 
     def test_empty_quantile_is_zero(self):
         assert Histogram().quantile(0.99) == 0.0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -39,6 +41,26 @@ class TestRefreshContract:
         status, body = app.handle("POST", "/refresh", {})
         assert status == 200
         assert body["epoch"] == 2
+
+    @pytest.mark.parametrize("builder", [memory_builder, sqlite_builder])
+    def test_swapped_out_backend_is_freed_without_the_collector(self, builder):
+        # A refreshed-away snapshot must not be cyclic garbage: with the
+        # cycle collector off, dropping the last reference frees it.
+        app = ConversationApp(build_toy_agent(), kb_builder=builder)
+        handle = app.agent.database
+        assert app.handle("POST", "/refresh", {})[0] == 200
+        gc.collect()
+        gc.disable()
+        try:
+            app.handle("POST", "/chat", {"utterance": "dosage for Aspirin"})
+            old = weakref.ref(handle.backend)
+            inner = weakref.ref(getattr(handle.backend, "wrapped", handle.backend))
+            assert app.handle("POST", "/refresh", {})[0] == 200
+            app.handle("POST", "/chat", {"utterance": "dosage for Aspirin"})
+            assert old() is None
+            assert inner() is None
+        finally:
+            gc.enable()
 
     def test_answers_identical_across_refresh(self):
         app = ConversationApp(build_toy_agent(), kb_builder=memory_builder)

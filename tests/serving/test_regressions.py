@@ -285,3 +285,37 @@ class TestTimingClassifierBatch:
         assert histogram.count == 4
         # Non-entry-point attributes still pass through.
         assert proxy.marker == "stub"
+
+
+class TestOneClassifierObservationPerTurn:
+    def test_ranked_turns_are_timed_once(self, monkeypatch):
+        # Turns that rank the classifier's top candidates (entity rescue,
+        # slot arbitration) read the distribution classify stored; they
+        # must not add a second scoring, timed or untimed.
+        from repro.nlp.classifier import IntentClassifier
+
+        ranked = []
+        top_k = IntentClassifier.top_k
+        monkeypatch.setattr(
+            IntentClassifier, "top_k",
+            lambda self, *args, **kw: ranked.append(1) or top_k(self, *args, **kw),
+        )
+        app = ConversationApp(build_toy_agent())
+        scored = []
+        transform = app.agent.classifier.vectorizer.transform
+        monkeypatch.setattr(
+            app.agent.classifier.vectorizer, "transform",
+            lambda docs: scored.append(1) or transform(docs),
+        )
+        utterances = [
+            "dosage for Aspirin", "aspirin fever", "drug for fever aspirin",
+            "dosage", "precautions aspirin",
+        ]
+        for utterance in utterances:
+            status, _ = app.handle("POST", "/chat", {"utterance": utterance})
+            assert status == 200
+        assert ranked  # the rank path ran
+        assert len(scored) == len(utterances)
+        histogram = app.metrics.histogram("classifier_latency_seconds")
+        assert histogram.count == len(utterances)
+        assert "repro_classifier_latency_seconds_count 5" in app.metrics.render()
