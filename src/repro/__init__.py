@@ -41,12 +41,18 @@ Subsystems
     metrics, graceful shutdown (``python -m repro serve``).
 """
 
-from repro.bootstrap import ConversationSpace, bootstrap_conversation_space
-from repro.engine import ConversationAgent, Session
-from repro.errors import ReproError
-from repro.kb import Column, Database, DataType, ForeignKey, TableSchema
-from repro.nlp import IntentClassifier
-from repro.ontology import Ontology, OntologyBuilder, generate_ontology
+from repro._lazy import lazy_exports
+
+# Resolved on first access, so ``import repro.<submodule>`` loads only
+# what that submodule needs.
+__getattr__ = lazy_exports(globals(), {
+    "repro.bootstrap": ("ConversationSpace", "bootstrap_conversation_space"),
+    "repro.engine": ("ConversationAgent", "Session"),
+    "repro.errors": ("ReproError",),
+    "repro.kb": ("Column", "Database", "DataType", "ForeignKey", "TableSchema"),
+    "repro.nlp": ("IntentClassifier",),
+    "repro.ontology": ("Ontology", "OntologyBuilder", "generate_ontology"),
+})
 
 __version__ = "1.0.0"
 

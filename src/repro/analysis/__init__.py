@@ -36,46 +36,35 @@ reviewed, intentional ones are suppressed by a
 ``repro baseline --update``.
 """
 
-from repro.analysis.ambiguity import (
-    AmbiguityConfig,
-    check_ambiguity,
-    check_space_ambiguity,
-)
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    BaselineError,
-    render_baseline,
-)
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    DiagnosticCollector,
-    Location,
-    Severity,
-    error_count,
-    render_json,
-    render_pretty,
-)
-from repro.analysis.model import ProjectModel, build_model
-from repro.analysis.purity import (
-    PurityConfig,
-    analyze_purity_model,
-    check_purity_paths,
-    check_purity_sources,
-)
-from repro.analysis.race import (
-    RaceConfig,
-    analyze_model,
-    check_race_paths,
-    check_race_sources,
-)
-from repro.analysis.space_checker import (
-    SpaceArtifacts,
-    build_artifacts,
-    check_artifacts,
-    check_space,
-)
-from repro.analysis.type_checker import check_space_types, check_types
+from repro._lazy import lazy_exports
+
+# Resolved on first access: a serving process's KB refresh validates
+# with the space checker alone and must not load the code analyzers.
+__getattr__ = lazy_exports(globals(), {
+    "repro.analysis.ambiguity": (
+        "AmbiguityConfig", "check_ambiguity", "check_space_ambiguity",
+    ),
+    "repro.analysis.baseline": (
+        "Baseline", "BaselineEntry", "BaselineError", "render_baseline",
+    ),
+    "repro.analysis.diagnostics": (
+        "Diagnostic", "DiagnosticCollector", "Location", "Severity",
+        "error_count", "render_json", "render_pretty",
+    ),
+    "repro.analysis.model": ("ProjectModel", "build_model"),
+    "repro.analysis.purity": (
+        "PurityConfig", "analyze_purity_model", "check_purity_paths",
+        "check_purity_sources",
+    ),
+    "repro.analysis.race": (
+        "RaceConfig", "analyze_model", "check_race_paths",
+        "check_race_sources",
+    ),
+    "repro.analysis.space_checker": (
+        "SpaceArtifacts", "build_artifacts", "check_artifacts", "check_space",
+    ),
+    "repro.analysis.type_checker": ("check_space_types", "check_types"),
+})
 
 __all__ = [
     "AmbiguityConfig",

@@ -354,35 +354,3 @@ def cmd_baseline(args: argparse.Namespace, output_fn=print) -> int:
         f"{len(diagnostics)} finding(s)"
     )
     return 0
-
-
-def add_audit_arguments(parser: argparse.ArgumentParser) -> None:
-    """Options for the semantic audit (``audit`` and ``check --deep``)."""
-    parser.add_argument(
-        "--near-duplicate-threshold", type=float, default=None,
-        metavar="COSINE",
-        help="A002 cross-intent near-duplicate cosine threshold "
-        "(default: 0.9)",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        help="KB backend to validate against: 'memory' (default), "
-        "'sqlite', or 'sqlite:<path>' (an exported kb.db)",
-    )
-
-
-def add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
-    """Options shared by every analysis command."""
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline suppression file (default: .repro-baseline if present)",
-    )
-    parser.add_argument(
-        "--format", choices=("pretty", "json"), default="pretty",
-        help="report format",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as errors for the exit code",
-    )

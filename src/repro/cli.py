@@ -71,26 +71,23 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.atomic import atomic_write
-from repro.bootstrap import space_from_dict, space_to_dict
-from repro.engine import ConversationAgent
 from repro.errors import KBError
-from repro.kb.backend import (
-    backend_spec_from_env,
-    parse_backend_spec,
-    wrap_database,
-)
-from repro.kb.io import load_database, save_database
-from repro.medical import build_mdx_agent, build_mdx_database, build_mdx_space
-from repro.medical.build import rename_to_paper_intents
-from repro.medical.knowledge import mdx_glossary
-from repro.ontology import ontology_to_owl
+
+if TYPE_CHECKING:
+    from repro.engine import ConversationAgent
+
+# The agent, KB, bootstrap, medical and analysis modules are imported by
+# the commands that use them: the router process (``serve --workers N``)
+# only forwards bytes and never loads numpy, scipy or networkx.
 
 
 def _backend_spec(args: argparse.Namespace) -> str:
     """The KB backend spec: ``--kb-backend`` wins over REPRO_KB_BACKEND."""
+    from repro.kb.backend import backend_spec_from_env, parse_backend_spec
+
     spec = getattr(args, "kb_backend", None) or backend_spec_from_env()
     try:
         parse_backend_spec(spec)  # fail fast on typos, before the build
@@ -101,6 +98,9 @@ def _backend_spec(args: argparse.Namespace) -> str:
 
 def _load_database(args: argparse.Namespace):
     """The raw in-memory database the agent's backend is built from."""
+    from repro.kb.io import load_database
+    from repro.medical import build_mdx_database
+
     if args.space:
         if not args.data:
             raise SystemExit("--space requires --data (the CSV KB directory)")
@@ -109,6 +109,11 @@ def _load_database(args: argparse.Namespace):
 
 
 def _build_agent(args: argparse.Namespace) -> ConversationAgent:
+    from repro.bootstrap import space_from_dict
+    from repro.engine import ConversationAgent
+    from repro.kb.backend import wrap_database
+    from repro.medical import build_mdx_agent
+
     spec = _backend_spec(args)
     database = _load_database(args)
     backend = wrap_database(database, spec)
@@ -120,18 +125,7 @@ def _build_agent(args: argparse.Namespace) -> ConversationAgent:
         return ConversationAgent.build(
             space, backend, agent_name=args.name, domain=args.domain
         )
-    # The space is bootstrapped from the raw in-memory database (ontology
-    # generation samples column statistics); the agent then serves every
-    # query through the selected backend.
-    space = build_mdx_space(database)
-    rename_to_paper_intents(space)
-    return ConversationAgent.build(
-        space,
-        backend,
-        glossary=mdx_glossary(),
-        agent_name="Micromedex",
-        domain="drug reference",
-    )
+    return build_mdx_agent(database, backend=backend)
 
 
 def _kb_builder(args: argparse.Namespace) -> Callable[[], object]:
@@ -143,6 +137,8 @@ def _kb_builder(args: argparse.Namespace) -> Callable[[], object]:
     backend may still be serving in-flight plans from the previous file,
     so the builder never overwrites a path out from under it.
     """
+    from repro.kb.backend import parse_backend_spec, wrap_database
+
     kind, _path = parse_backend_spec(_backend_spec(args))
 
     def build() -> object:
@@ -196,6 +192,8 @@ def cmd_chat(
 
 def cmd_demo(args: argparse.Namespace, output_fn=print) -> int:
     """Replay the §6.3 conversations against a freshly built agent."""
+    from repro.medical import build_mdx_agent
+
     agent = build_mdx_agent()
     for title, turns in (
         ("clinical session", [
@@ -228,6 +226,7 @@ def cmd_simulate(args: argparse.Namespace, output_fn=print) -> int:
         simulate_usage,
         success_rate,
     )
+    from repro.medical import build_mdx_agent
 
     agent = build_mdx_agent()
     generator = WorkloadGenerator(agent.space, seed=args.seed)
@@ -252,16 +251,18 @@ def cmd_simulate(args: argparse.Namespace, output_fn=print) -> int:
 
 def cmd_export(args: argparse.Namespace, output_fn=print) -> int:
     """Write the MDX artifacts (space JSON, OWL, CSV KB, logic table)."""
+    from repro.bootstrap import space_to_dict
+    from repro.kb.backend import wrap_database
+    from repro.kb.io import save_database
+    from repro.medical import build_mdx_agent, build_mdx_database, build_mdx_space
+    from repro.ontology import ontology_to_owl
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     database = build_mdx_database()
     space = build_mdx_space(database)
-    rename_to_paper_intents(space)
     # Build once so the management intents and glossary are folded in.
-    agent = ConversationAgent.build(
-        space, database, glossary=mdx_glossary(),
-        agent_name="Micromedex", domain="drug reference",
-    )
+    agent = build_mdx_agent(database, space)
     (out / "conversation_space.json").write_text(
         json.dumps(space_to_dict(space), indent=2), encoding="utf-8"
     )
@@ -454,6 +455,7 @@ def _serve_worker(args: argparse.Namespace, output_fn, run_forever) -> int:
 
 def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
     """Front ``--workers N`` worker subprocesses with the session router."""
+    from repro.kb.backend import parse_backend_spec
     from repro.persistence.router import SessionRouter
 
     if not args.data_dir:
@@ -596,6 +598,49 @@ def cmd_sessions(args: argparse.Namespace, output_fn=print) -> int:
     return 0
 
 
+def _analysis(name: str) -> Callable[[argparse.Namespace], int]:
+    """The handler of an analysis command, imported when it runs."""
+
+    def handler(args: argparse.Namespace) -> int:
+        from repro.analysis import runner
+
+        return getattr(runner, name)(args)
+
+    return handler
+
+
+def _add_audit_arguments(parser: argparse.ArgumentParser) -> None:
+    """Options for the semantic audit (``audit`` and ``check --deep``)."""
+    parser.add_argument(
+        "--near-duplicate-threshold", type=float, default=None,
+        metavar="COSINE",
+        help="A002 cross-intent near-duplicate cosine threshold "
+        "(default: 0.9)",
+    )
+    parser.add_argument(
+        "--backend", default=None,
+        help="KB backend to validate against: 'memory' (default), "
+        "'sqlite', or 'sqlite:<path>' (an exported kb.db)",
+    )
+
+
+def _add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
+    """Options shared by every analysis command."""
+    parser.add_argument(
+        "--baseline",
+        default=None,
+        help="baseline suppression file (default: .repro-baseline if present)",
+    )
+    parser.add_argument(
+        "--format", choices=("pretty", "json"), default="pretty",
+        help="report format",
+    )
+    parser.add_argument(
+        "--strict", action="store_true",
+        help="treat warnings as errors for the exit code",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the `repro` CLI."""
     parser = argparse.ArgumentParser(
@@ -706,17 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "marks as an interaction log (JSON lines)")
     sessions.set_defaults(handler=cmd_sessions)
 
-    from repro.analysis.runner import (
-        add_analysis_arguments,
-        add_audit_arguments,
-        cmd_audit,
-        cmd_baseline,
-        cmd_check,
-        cmd_lint,
-        cmd_purity,
-        cmd_race,
-    )
-
     check = sub.add_parser(
         "check", help="statically validate the conversation space"
     )
@@ -724,9 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--data", help="CSV knowledge-base directory")
     check.add_argument("--deep", action="store_true",
                        help="also run the semantic audit (T/A codes)")
-    add_analysis_arguments(check)
-    add_audit_arguments(check)
-    check.set_defaults(handler=cmd_check)
+    _add_analysis_arguments(check)
+    _add_audit_arguments(check)
+    check.set_defaults(handler=_analysis("cmd_check"))
 
     lint = sub.add_parser(
         "lint", help="run the concurrency/purity lint over the codebase"
@@ -736,8 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--deep", action="store_true",
                       help="also run the race/durability (R/D) and "
                       "purity/exception-flow (P/X) analyzers")
-    add_analysis_arguments(lint)
-    lint.set_defaults(handler=cmd_lint)
+    _add_analysis_arguments(lint)
+    lint.set_defaults(handler=_analysis("cmd_lint"))
 
     race = sub.add_parser(
         "race",
@@ -748,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files/directories to analyze (default: src/repro)")
     race.add_argument("--graph", action="store_true",
                       help="dump the lock-order graph as DOT and exit")
-    add_analysis_arguments(race)
-    race.set_defaults(handler=cmd_race)
+    _add_analysis_arguments(race)
+    race.set_defaults(handler=_analysis("cmd_race"))
 
     purity = sub.add_parser(
         "purity",
@@ -758,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
     purity.add_argument("paths", nargs="*",
                         help="files/directories to analyze "
                         "(default: src/repro)")
-    add_analysis_arguments(purity)
-    purity.set_defaults(handler=cmd_purity)
+    _add_analysis_arguments(purity)
+    purity.set_defaults(handler=_analysis("cmd_purity"))
 
     audit = sub.add_parser(
         "audit",
@@ -767,9 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument("--space", help="exported conversation-space JSON")
     audit.add_argument("--data", help="CSV knowledge-base directory")
-    add_analysis_arguments(audit)
-    add_audit_arguments(audit)
-    audit.set_defaults(handler=cmd_audit)
+    _add_analysis_arguments(audit)
+    _add_audit_arguments(audit)
+    audit.set_defaults(handler=_analysis("cmd_audit"))
 
     baseline = sub.add_parser(
         "baseline", help="show or regenerate the .repro-baseline file"
@@ -778,9 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="regenerate the baseline from current findings")
     baseline.add_argument("--space", help="exported conversation-space JSON")
     baseline.add_argument("--data", help="CSV knowledge-base directory")
-    add_analysis_arguments(baseline)
-    add_audit_arguments(baseline)
-    baseline.set_defaults(handler=cmd_baseline)
+    _add_analysis_arguments(baseline)
+    _add_audit_arguments(baseline)
+    baseline.set_defaults(handler=_analysis("cmd_baseline"))
     return parser
 
 

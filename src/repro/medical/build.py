@@ -14,6 +14,7 @@ from repro.bootstrap.sme import SMEFeedback
 from repro.nlq.templates import StructuredQueryTemplate
 from repro.bootstrap.space import ConversationSpace, bootstrap_conversation_space
 from repro.engine.agent import ConversationAgent
+from repro.kb.backend import KBBackend
 from repro.kb.database import Database
 from repro.medical.generator import GeneratorConfig, populate_mdx
 from repro.medical.knowledge import (
@@ -315,8 +316,10 @@ def build_mdx_agent(
     database: Database | None = None,
     space: ConversationSpace | None = None,
     use_paper_intent_names: bool = True,
+    backend: KBBackend | None = None,
 ) -> ConversationAgent:
-    """Build the full Conversational MDX agent."""
+    """Build the full Conversational MDX agent; it answers through
+    ``backend`` (default: ``database``, which the space is built from)."""
     database = database or build_mdx_database()
     if space is None:
         space = build_mdx_space(database)
@@ -324,7 +327,7 @@ def build_mdx_agent(
         rename_to_paper_intents(space)
     return ConversationAgent.build(
         space,
-        database,
+        database if backend is None else backend,
         glossary=mdx_glossary(),
         agent_name="Micromedex",
         domain="drug reference",

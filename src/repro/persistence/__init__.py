@@ -22,37 +22,29 @@ of the in-memory serving layer:
   replica, behind a hash router with restart-and-recover supervision.
 """
 
-from repro.persistence.journal import (
-    FSYNC_POLICIES,
-    JournalReadResult,
-    SessionJournal,
-    compact_journal,
-    frame_record,
-    read_journal,
-)
-from repro.persistence.recovery import (
-    RecoveredSession,
-    RecoveryReport,
-    inspect_session,
-    list_session_ids,
-    recover_all,
-    recover_session,
-)
-from repro.persistence.router import (
-    SessionRouter,
-    WorkerHandle,
-    affinity,
-    worker_dir,
-)
-from repro.persistence.snapshot import (
-    SessionSnapshot,
-    load_snapshot,
-    write_snapshot,
-)
-from repro.persistence.store import (
-    DurableSessionIdAllocator,
-    DurableSessionStore,
-)
+from repro._lazy import lazy_exports
+
+# Resolved on first access: the router imports
+# ``repro.persistence.router`` and must not load the model through here.
+__getattr__ = lazy_exports(globals(), {
+    "repro.persistence.journal": (
+        "FSYNC_POLICIES", "JournalReadResult", "SessionJournal",
+        "compact_journal", "frame_record", "read_journal",
+    ),
+    "repro.persistence.recovery": (
+        "RecoveredSession", "RecoveryReport", "inspect_session",
+        "list_session_ids", "recover_all", "recover_session",
+    ),
+    "repro.persistence.router": (
+        "SessionRouter", "WorkerHandle", "affinity", "worker_dir",
+    ),
+    "repro.persistence.snapshot": (
+        "SessionSnapshot", "load_snapshot", "write_snapshot",
+    ),
+    "repro.persistence.store": (
+        "DurableSessionIdAllocator", "DurableSessionStore",
+    ),
+})
 
 __all__ = [
     "FSYNC_POLICIES",

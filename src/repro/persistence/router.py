@@ -34,21 +34,21 @@ worker_unavailable`` — clients retry (idempotently, via
 
 from __future__ import annotations
 
-import http.client
+import asyncio
 import json
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 import zlib
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 from repro.errors import RouterError
-from repro.serving.frontend import AsyncHTTPServer, Request, Route, RouteTable
+from repro.serving.frontend import MAX_HEAD_BYTES, AsyncHTTPServer, Request
+from repro.serving.frontend import Route, RouteTable, parse_head
 from repro.serving.metrics import MetricsRegistry
 
 #: Ready file a worker writes into its worker directory once listening.
@@ -108,71 +108,139 @@ class WorkerHandle:
         return process is not None and process.poll() is None
 
 
-class _WorkerConnectionPool:
-    """Keep-alive HTTP connections to workers, keyed by ``(host, port)``.
+class _Disconnected(ConnectionError):
+    """The worker closed the socket before answering: a parked socket
+    that went stale while idle."""
 
-    The forward path used to open a fresh TCP socket per proxied request;
-    at drill scale the handshake cost and ``TIME_WAIT`` churn dominate
-    router latency.  Connections parked here are reused by the next
-    request to the same worker.  Keys are per-port, and a restarted
-    worker binds a new ephemeral port, so a replacement incarnation can
-    never be handed a socket to its dead predecessor; stale keys are
-    dropped on respawn.  A parked socket the worker closed while idle is
-    detected at request time and retried once on a fresh connection (see
-    :meth:`SessionRouter.forward`).
+
+#: What a stale parked socket raises; only these are retried.
+_STALE = (_Disconnected, ConnectionResetError, BrokenPipeError)
+
+#: A keep-alive socket to a worker and the buffered reader over it.
+_Connection = tuple[socket.socket, BinaryIO]
+
+
+def _read_exactly(reader: BinaryIO, length: int) -> bytes:
+    data = reader.read(length)
+    if len(data) != length:
+        raise ConnectionError("worker reply cut short")
+    return data
+
+
+def _read_chunk(reader: BinaryIO) -> bytes:
+    """One chunk of a chunked body; b"" for the last (no trailers)."""
+    size = int(reader.readline(MAX_HEAD_BYTES).split(b";")[0], 16)
+    return _read_exactly(reader, size + 2)[:-2]
+
+
+def _read_reply(reader: BinaryIO) -> tuple[int, dict[str, str], bytes, bool]:
+    """One reply, head parsed like a request's: ``(status, headers,
+    body, keep_alive)``; the body has a ``Content-Length`` or is
+    chunked."""
+    head = reader.readline(MAX_HEAD_BYTES)
+    if not head:
+        raise _Disconnected("worker closed the connection")
+    while not head.endswith(b"\r\n\r\n"):
+        line = reader.readline(MAX_HEAD_BYTES)
+        if not line or len(head) > MAX_HEAD_BYTES:
+            raise ConnectionError("worker reply head cut short or too large")
+        head += line
+    try:
+        (version, status, _reason), headers = parse_head(head)
+        if headers.get("transfer-encoding", "").lower() == "chunked":
+            body = b"".join(iter(lambda: _read_chunk(reader), b""))
+        else:
+            body = _read_exactly(reader, int(headers["content-length"]))
+        code = int(status)
+    except (KeyError, ValueError) as exc:
+        raise ConnectionError(f"malformed worker reply: {exc!r}") from None
+    close = headers.get("connection", "").lower() == "close"
+    return code, headers, body, version == "HTTP/1.1" and not close
+
+
+def _close(connection: _Connection) -> None:
+    sock, reader = connection
+    reader.close()
+    sock.close()
+
+
+class _WorkerClient:
+    """HTTP/1.1 to the workers over blocking keep-alive sockets.
+
+    Each request goes out in one write on a ``TCP_NODELAY`` socket.
+    Sockets a reply left open are parked per worker port for the next
+    request to that port; a restarted worker binds a new port and
+    :meth:`discard` drops the old one's, so a replacement is never
+    handed a socket to its dead predecessor.  A parked socket the
+    worker closed while idle is retried exactly once, on a fresh
+    connection; a fresh connection that fails is not retried (the
+    worker is down, and clients retry with ``client_turn_id``).
     """
 
-    def __init__(self, max_idle_per_key: int = 8) -> None:
+    def __init__(self, metrics: MetricsRegistry, max_idle_per_port: int = 8) -> None:
+        self._metrics = metrics
         self._lock = threading.Lock()
-        self._idle: dict[tuple[str, int], list[http.client.HTTPConnection]] = {}
-        self._max_idle = max_idle_per_key
+        self._idle: dict[int, list[_Connection]] = {}
+        self._max_idle = max_idle_per_port
         self._closed = False
 
-    def acquire(
-        self, host: str, port: int
-    ) -> http.client.HTTPConnection | None:
-        """A parked connection to ``host:port``, or None (caller opens
-        a fresh one — outside the pool lock)."""
+    def request(
+        self, port: int, method: str, path: str, body: bytes, timeout: float
+    ) -> tuple[int, dict[str, str], bytes]:
+        """``(status, headers, body)`` from the worker on ``port``;
+        ``OSError`` when it is unreachable, times out or answers
+        garbage."""
+        message = (
+            f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1:{port}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body
         with self._lock:
-            stack = self._idle.get((host, port))
-            if stack:
-                return stack.pop()
-        return None
+            stack = self._idle.get(port)
+            parked = stack.pop() if stack else None
+        if parked is not None:
+            self._metrics.counter("router_connections_reused_total").inc()
+            parked[0].settimeout(timeout)
+            try:
+                return self._exchange(port, parked, message)
+            except _STALE:
+                self._metrics.counter("router_forward_retries_total").inc()
+        sock = socket.create_connection(("127.0.0.1", port), timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._metrics.counter("router_connections_opened_total").inc()
+        return self._exchange(port, (sock, sock.makefile("rb")), message)
 
-    def release(
-        self,
-        host: str,
-        port: int,
-        connection: http.client.HTTPConnection,
-        reusable: bool,
-    ) -> None:
-        if reusable:
-            with self._lock:
-                if not self._closed:
-                    stack = self._idle.setdefault((host, port), [])
-                    if len(stack) < self._max_idle:
-                        stack.append(connection)
-                        return
-        connection.close()
-
-    def discard(self, host: str, port: int) -> None:
-        """Drop every parked connection for a (dead) worker incarnation."""
+    def _exchange(
+        self, port: int, connection: _Connection, message: bytes
+    ) -> tuple[int, dict[str, str], bytes]:
+        try:
+            connection[0].sendall(message)
+            status, headers, body, keep_alive = _read_reply(connection[1])
+        except BaseException:
+            _close(connection)
+            raise
         with self._lock:
-            stale = self._idle.pop((host, port), [])
+            stack = self._idle.setdefault(port, [])
+            if keep_alive and not self._closed and len(stack) < self._max_idle:
+                stack.append(connection)
+                return status, headers, body
+        _close(connection)
+        return status, headers, body
+
+    def discard(self, port: int) -> None:
+        """Drop every parked socket for a (dead) worker incarnation."""
+        with self._lock:
+            stale = self._idle.pop(port, [])
         for connection in stale:
-            connection.close()
+            _close(connection)
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            parked = [
-                connection
-                for stack in self._idle.values()
-                for connection in stack
-            ]
+            parked = [c for stack in self._idle.values() for c in stack]
             self._idle.clear()
         for connection in parked:
-            connection.close()
+            _close(connection)
 
 
 class SessionRouter(AsyncHTTPServer):
@@ -187,9 +255,11 @@ class SessionRouter(AsyncHTTPServer):
     (:class:`~repro.serving.frontend.AsyncHTTPServer`) from its own
     route table: ``GET /healthz``, ``GET /metrics`` and ``POST
     /refresh`` (broadcast) are its own, and every other request is
-    forwarded (counted under the ``<unmatched>`` route label).  Each
-    handler stays synchronous and runs on the forwarding executor,
-    sized per worker.
+    forwarded (counted under the ``<unmatched>`` route label).
+    ``broadcast`` is a coroutine on the loop; the other handlers run on
+    the forwarding executor, sized per worker.  ``forward`` stays
+    synchronous on purpose: the benchmark's tracer wraps it with a plain
+    function and reads its ``(status, body, content_type)`` tuple.
     """
 
     def __init__(
@@ -223,7 +293,7 @@ class SessionRouter(AsyncHTTPServer):
         ]
         self._round_robin = 0
         self._rr_lock = threading.Lock()
-        self._pool = _WorkerConnectionPool()
+        self._client = _WorkerClient(self.metrics)
         self._lifecycle_lock = threading.Lock()
         self._stopping = threading.Event()
         self._monitor: threading.Thread | None = None
@@ -242,7 +312,7 @@ class SessionRouter(AsyncHTTPServer):
             {
                 "GET /healthz": Route(self.health),
                 # Cluster-wide: every worker owns its own KB replica.
-                "POST /refresh": Route(self.broadcast),
+                "POST /refresh": Route(self.broadcast, on_loop=True),
             },
             fallback=Route(self.forward),
         )
@@ -290,7 +360,7 @@ class SessionRouter(AsyncHTTPServer):
         if old_port is not None:
             # Sockets parked for the dead incarnation can never be valid
             # for the replacement (which binds a fresh ephemeral port).
-            self._pool.discard("127.0.0.1", old_port)
+            self._client.discard(old_port)
         return time.monotonic() + self.spawn_timeout
 
     def _await_ready(
@@ -351,15 +421,14 @@ class SessionRouter(AsyncHTTPServer):
             return None  # stale file from a previous incarnation
         return port
 
-    @staticmethod
-    def _healthy(port: int) -> bool:
+    def _healthy(self, port: int) -> bool:
         try:
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=5.0
-            ) as response:
-                return response.status == 200
-        except (urllib.error.URLError, OSError, ValueError):
+            status, _headers, _body = self._client.request(
+                port, "GET", "/healthz", b"", timeout=5.0
+            )
+        except OSError:
             return False
+        return status == 200
 
     def kill_worker(self, index: int, sig: int = signal.SIGKILL) -> int:
         """Deliver ``sig`` to a worker (crash drills); returns its pid."""
@@ -422,91 +491,58 @@ class SessionRouter(AsyncHTTPServer):
         self.metrics.counter(
             "router_requests_total", ("worker", str(handle.index))
         ).inc()
-        return self._forward_to(
-            handle, request.method, request.path, request.body or None
-        )
+        return self._forward_to(handle, request)
 
     def _forward_to(
-        self,
-        handle: WorkerHandle,
-        method: str,
-        path: str,
-        body: bytes | None,
+        self, handle: WorkerHandle, request: Request
     ) -> tuple[int, bytes, str]:
         """Proxy one request to one specific worker."""
         with handle.lock:
             port = handle.port
         if port is None or not handle.alive:
             return self._unavailable(handle)
-        host = "127.0.0.1"
-        headers = {"Content-Type": "application/json"}
-        for _attempt in range(2):
-            connection = self._pool.acquire(host, port)
-            reused = connection is not None
-            if connection is None:
-                connection = http.client.HTTPConnection(
-                    host, port, timeout=self.forward_timeout
-                )
-                self.metrics.counter("router_connections_opened_total").inc()
-            else:
-                self.metrics.counter("router_connections_reused_total").inc()
-            try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                payload = response.read()
-            except (
-                http.client.RemoteDisconnected,
-                ConnectionResetError,
-                BrokenPipeError,
-            ) as error:
-                del error
-                connection.close()
-                if reused:
-                    # A keep-alive socket the worker closed while the
-                    # router held it idle: retry exactly once on a fresh
-                    # connection.  Only this stale-reuse case retries —
-                    # a fresh connection failing means the worker is
-                    # really down (and blind re-sends stay safe for
-                    # clients passing ``client_turn_id``).
-                    self.metrics.counter("router_forward_retries_total").inc()
-                    continue
-                return self._unavailable(handle)
-            except (http.client.HTTPException, OSError) as error:
-                del error  # refused / timed out: worker is (re)starting
-                connection.close()
-                return self._unavailable(handle)
-            if response.status >= 400:
-                # Worker answered with an error status — relayed verbatim.
-                self.metrics.counter(
-                    "router_errors_total", ("code", str(response.status))
-                ).inc()
-            self._pool.release(host, port, connection, not response.will_close)
-            return (
-                response.status,
-                payload,
-                response.getheader("Content-Type") or "application/json",
+        try:
+            status, headers, payload = self._client.request(
+                port, request.method, request.path, request.body,
+                self.forward_timeout,
             )
-        return self._unavailable(handle)
+        except OSError:
+            return self._unavailable(handle)  # refused, timed out or cut off
+        if status >= 400:
+            # Worker answered with an error status — relayed verbatim.
+            self.metrics.counter(
+                "router_errors_total", ("code", str(status))
+            ).inc()
+        return status, payload, headers.get("content-type", "application/json")
 
-    def broadcast(self, request: Request) -> tuple[int, dict]:
-        """Fan one request out to *every* worker and aggregate the results.
+    async def broadcast(self, request: Request) -> tuple[int, dict]:
+        """Fan one request out to *every* worker at once and aggregate
+        the results in worker order.
 
         Each worker owns an independent KB replica, so cluster-wide
         operations (``POST /refresh``) must reach all of them — session
         affinity would refresh one replica and leave N-1 serving the old
-        snapshot.  Returns 200 only when every worker accepted; any
-        failure downgrades the aggregate to the worst worker status so
-        the operator sees a partial refresh instead of a silent one.
+        snapshot.  Each exchange runs on its own executor thread and the
+        loop awaits them together, so the replicas rebuild side by side.
+        Returns 200 only when every worker accepted; any failure
+        downgrades the aggregate to the worst worker status so the
+        operator sees a partial refresh instead of a silent one.  (The
+        router has no in-flight bound, so there is no unit to release.)
         """
-        results = []
-        worst = 200
+        loop = asyncio.get_running_loop()
         for handle in self.workers:
             self.metrics.counter(
                 "router_broadcasts_total", ("worker", str(handle.index))
             ).inc()
-            status, payload, _content_type = self._forward_to(
-                handle, request.method, request.path, request.body or None
-            )
+        replies = await asyncio.gather(*(
+            loop.run_in_executor(self._io, self._forward_to, handle, request)
+            for handle in self.workers
+        ))
+        results = []
+        worst = 200
+        for handle, (status, payload, _content_type) in zip(
+            self.workers, replies
+        ):
             try:
                 parsed: Any = json.loads(payload.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
@@ -603,4 +639,4 @@ class SessionRouter(AsyncHTTPServer):
                 process.kill()
                 process.wait(timeout=5.0)
         super().shutdown()
-        self._pool.close()
+        self._client.close()

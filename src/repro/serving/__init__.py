@@ -10,12 +10,18 @@ session store under a per-session lock; the query cache memoizes only
 immutable result sets and is dropped wholesale on any KB write.
 """
 
-from repro.serving.aio import AsyncConversationServer, TokenBucket
-from repro.serving.frontend import ServingError
-from repro.serving.metrics import Counter, Histogram, MetricsRegistry
-from repro.serving.query_cache import CachingDatabase, QueryCache, make_key
-from repro.serving.server import ConversationApp
-from repro.serving.session_store import SessionEntry, SessionStore
+from repro._lazy import lazy_exports
+
+# Resolved on first access: the router imports ``repro.serving.frontend``
+# and must not load the app (and with it the model) through this file.
+__getattr__ = lazy_exports(globals(), {
+    "repro.serving.aio": ("AsyncConversationServer", "TokenBucket"),
+    "repro.serving.frontend": ("ServingError",),
+    "repro.serving.metrics": ("Counter", "Histogram", "MetricsRegistry"),
+    "repro.serving.query_cache": ("CachingDatabase", "QueryCache", "make_key"),
+    "repro.serving.server": ("ConversationApp",),
+    "repro.serving.session_store": ("SessionEntry", "SessionStore"),
+})
 
 __all__ = [
     "AsyncConversationServer",

@@ -123,19 +123,31 @@ class Request:
         return payload
 
 
-def _parse_head(head: bytes) -> Request:
-    try:
-        text = head.decode("latin-1")
-        request_line, _, header_block = text.partition("\r\n")
-        method, path, _version = request_line.split(" ", 2)
-    except ValueError as exc:
-        raise ServingError(400, "bad_request", "malformed request") from exc
+def parse_head(head: bytes) -> tuple[list[str], dict[str, str]]:
+    """Split a request or response head into the three words of its
+    first line and its headers (names lower-cased).
+
+    Raises ``ValueError`` when the first line has fewer than three words.
+    """
+    text = head.decode("latin-1")
+    first_line, _, header_block = text.partition("\r\n")
+    words = first_line.split(" ", 2)
+    if len(words) != 3:
+        raise ValueError(f"malformed first line {first_line!r}")
     headers: dict[str, str] = {}
     for line in header_block.split("\r\n"):
         if not line:
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
+    return words, headers
+
+
+def _parse_head(head: bytes) -> Request:
+    try:
+        (method, path, _version), headers = parse_head(head)
+    except ValueError as exc:
+        raise ServingError(400, "bad_request", "malformed request") from exc
     return Request(method.upper(), path, headers)
 
 

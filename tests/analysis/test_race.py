@@ -646,6 +646,17 @@ class TestShippedTree:
             analysis.handler_locks
         )
 
+    def test_broadcast_coroutine_reaches_worker_lock_through_executor(self):
+        # ``broadcast`` runs on the loop and hands one ``_forward_to``
+        # per worker to ``run_in_executor``: the deferred call still
+        # counts, so the fan-out's locks stay handler-reachable.
+        project = build_model([REPO_ROOT / "src" / "repro"])
+        analysis = RaceAnalysis(project, RaceConfig())
+        functions = {f.qualname: f for f in analysis.functions}
+        broadcast = functions["SessionRouter.broadcast"]
+        assert "WorkerHandle.lock" in broadcast.trans_acquires
+        assert analysis._is_handler_entry(broadcast)
+
     def test_lint_deep_folds_in_race(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "--deep"]) == 0

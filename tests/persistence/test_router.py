@@ -24,6 +24,7 @@ from repro.persistence.router import SessionRouter, affinity, worker_dir
 from repro.serving.frontend import MAX_BODY_BYTES, MAX_HEAD_BYTES
 from tests.persistence.conftest import GOLDEN_SCRIPT, run_script
 from tests.serving.conftest import build_toy_agent, http_json, http_text
+from tests.serving.test_aio import stream_events
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -131,6 +132,36 @@ class TestRefreshBroadcast:
         assert status == 200
         assert 'router_broadcasts_total{worker="0"} 1' in text
         assert 'router_broadcasts_total{worker="1"} 1' in text
+
+
+class TestStreamThroughRouter:
+    def test_chat_stream_events_match_the_worker(self, router):
+        # The router relays /chat/stream buffered: the same SSE events
+        # in the same order as asking a worker directly, over two turns
+        # of one conversation.
+        def strip(events):
+            return [
+                (event, {k: v for k, v in data.items() if k != "session_id"})
+                for event, data in events
+            ]
+
+        def converse(host, port):
+            status, first = stream_events(
+                host, port, {"utterance": GOLDEN_SCRIPT[0]}
+            )
+            assert status == 200, first
+            sid = first[-1][1]["session_id"]
+            status, second = stream_events(host, port, {
+                "utterance": GOLDEN_SCRIPT[1], "session_id": sid,
+            })
+            assert status == 200, second
+            return strip(first) + strip(second)
+
+        through_router = converse(router.host, router.port)
+        direct = converse("127.0.0.1", router.workers[0].port)
+        assert [event for event, _data in through_router][-1] == "done"
+        assert "rows" in [event for event, _data in through_router]
+        assert through_router == direct
 
 
 class TestKillRecovery:

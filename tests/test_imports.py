@@ -1,0 +1,127 @@
+"""What importing the package loads, and what the package declares.
+
+The router process only forwards bytes, so its import path must not
+load the model's libraries; the package ``__init__`` files re-export
+lazily to make that so.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.analysis
+import repro.persistence
+import repro.serving
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src"
+HEAVY = ("numpy", "scipy", "networkx")
+
+#: Runs ``repro serve --workers 2`` through the CLI up to a serving,
+#: then drained, router, with the worker launch stubbed out, and prints
+#: which heavy libraries the process loaded.
+_ROUTER_PROCESS = """
+import json, sys
+from repro import cli
+from repro.persistence.router import SessionRouter
+
+SessionRouter._launch = lambda self, handle: 0.0
+SessionRouter._await_ready = lambda self, launched: []
+args = cli.build_parser().parse_args([
+    "serve", "--workers", "2", "--data-dir", sys.argv[1], "--port", "0",
+    "--kb-backend", "memory",
+])
+assert cli.cmd_serve(args, output_fn=lambda line: None, run_forever=False) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in %r)))
+""" % (HEAVY,)
+
+
+def _run(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *argv], cwd=REPO_ROOT, capture_output=True,
+        text=True, timeout=120, env={"PYTHONPATH": str(SRC), "PATH": ""},
+    )
+
+
+def test_router_process_loads_no_model_libraries(tmp_path):
+    result = _run("-c", _ROUTER_PROCESS, str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def test_importing_the_package_loads_no_model_libraries():
+    result = _run("-c", (
+        "import sys, repro, repro.serving, repro.persistence\n"
+        f"print([m for m in {HEAVY!r} if m in sys.modules])"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_kb_refresh_validation_loads_only_the_space_checker():
+    # ``ConversationApp.refresh_kb`` imports these two inside a serving
+    # process; the code analyzers must stay unloaded there.
+    result = _run("-c", (
+        "import sys\n"
+        "from repro.analysis.diagnostics import error_count\n"
+        "from repro.analysis.space_checker import check_space\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str([
+        "repro.analysis", "repro.analysis.diagnostics",
+        "repro.analysis.space_checker",
+    ])
+
+
+@pytest.mark.parametrize(
+    "package", [repro, repro.analysis, repro.serving, repro.persistence],
+    ids=lambda package: package.__name__,
+)
+def test_every_exported_name_resolves(package):
+    for name in package.__all__:
+        assert getattr(package, name) is not None, name
+    namespace: dict = {}
+    exec(f"from {package.__name__} import *", namespace)
+    assert set(package.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        getattr(package, "no_such_name")
+
+
+def test_cli_help_runs():
+    result = _run("-m", "repro", "--help")
+    assert result.returncode == 0, result.stderr
+    assert "serve" in result.stdout and "lint" in result.stdout
+
+
+def test_third_party_imports_are_declared():
+    declared = set()
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)^\]", text, re.S | re.M)
+    for requirement in re.findall(r'"([^"]+)"', block.group(1)):
+        declared.add(re.split(r"[<>=!~\[; ]", requirement, 1)[0].lower())
+    imported: dict[str, str] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "repro" and top not in sys.stdlib_module_names:
+                    imported.setdefault(top, str(path.relative_to(SRC)))
+    undeclared = {
+        top: where for top, where in imported.items() if top not in declared
+    }
+    assert not undeclared, f"imported but not in pyproject.toml: {undeclared}"
