@@ -8,6 +8,11 @@ non-baselined error remains (warnings too under ``--strict``).
 exception-flow rules; ``check --deep``/``lint --deep`` run everything;
 ``baseline --update`` regenerates the suppression file from current
 findings.
+
+The conversation-space checkers (``space_checker``, ``type_checker``,
+``ambiguity``) load the bootstrap, KB and NLP layers, and with them
+numpy and scipy, so they are imported inside the commands that check a
+space: ``lint``, ``race`` and ``purity`` only parse source files.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import argparse
 import json
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.analysis.ambiguity import AmbiguityConfig, check_ambiguity
 from repro.analysis.baseline import Baseline, render_baseline
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -31,13 +36,10 @@ from repro.analysis.diagnostics import (
 from repro.analysis.model import ProjectModel, build_model
 from repro.analysis.purity import PurityConfig, analyze_purity_model
 from repro.analysis.race import RaceConfig, analyze_model
-from repro.analysis.space_checker import (
-    artifact_failure,
-    build_artifacts,
-    check_artifacts,
-)
-from repro.analysis.type_checker import check_types
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.analysis.ambiguity import AmbiguityConfig
 
 
 def _load_baseline(args: argparse.Namespace) -> Baseline:
@@ -138,6 +140,8 @@ def _build_space(args: argparse.Namespace):
 
 
 def _ambiguity_config(args: argparse.Namespace) -> AmbiguityConfig:
+    from repro.analysis.ambiguity import AmbiguityConfig
+
     threshold = getattr(args, "near_duplicate_threshold", None)
     if threshold is None:
         return AmbiguityConfig()
@@ -155,6 +159,12 @@ def _space_diagnostics(
     all of them.  Returns the findings plus the number of templates
     walked (for the report header).
     """
+    from repro.analysis.space_checker import (
+        artifact_failure,
+        build_artifacts,
+        check_artifacts,
+    )
+
     try:
         artifacts = build_artifacts(space, database)
     except ReproError as exc:
@@ -162,6 +172,9 @@ def _space_diagnostics(
         return [artifact_failure(code, exc, space) for code in codes], 0
     diagnostics = check_artifacts(artifacts) if check else []
     if audit:
+        from repro.analysis.ambiguity import check_ambiguity
+        from repro.analysis.type_checker import check_types
+
         diagnostics += check_types(artifacts)
         diagnostics += check_ambiguity(artifacts, _ambiguity_config(args))
     return (

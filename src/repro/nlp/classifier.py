@@ -20,6 +20,11 @@ def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+#: Rows of the weight matrix per ``l2 W`` temporary in ``fit``: bounds
+#: that temporary instead of holding a full-size scratch copy of W.
+_L2_BLOCK_ROWS = 1024
+
+
 class SoftmaxClassifier:
     """Multinomial logistic regression trained by full-batch gradient descent.
 
@@ -74,11 +79,11 @@ class SoftmaxClassifier:
         bias = np.zeros(n_classes, dtype=np.float64)
         vel_w = np.zeros_like(weights)
         vel_b = np.zeros_like(bias)
-        scratch = np.empty_like(weights)
         features_t = features.T.tocsr()
 
         # The textbook update, done in place: besides the two sparse
-        # products an epoch allocates only per-row and per-class vectors.
+        # products an epoch allocates only per-row and per-class vectors
+        # and ``l2 W`` one block of rows at a time.
         # Elementwise IEEE operations round the same in place as out of
         # it, so the weights are bit-identical to the textbook form's:
         #   error = (softmax(X W + b) - Y) / n
@@ -91,8 +96,9 @@ class SoftmaxClassifier:
             error -= one_hot
             error /= n_samples
             grad_w = features_t @ error
-            np.multiply(weights, self.l2, out=scratch)
-            grad_w += scratch
+            for start in range(0, n_features, _L2_BLOCK_ROWS):
+                rows = slice(start, start + _L2_BLOCK_ROWS)
+                grad_w[rows] += weights[rows] * self.l2
             grad_w *= self.learning_rate
             vel_w *= self.momentum
             vel_w -= grad_w
@@ -100,6 +106,8 @@ class SoftmaxClassifier:
             vel_b *= self.momentum
             vel_b -= self.learning_rate * error.sum(axis=0)
             bias += vel_b
+            # Free this epoch's buffers before the next products allocate.
+            del error, grad_w
 
         self.classes_ = classes
         self.weights_ = weights

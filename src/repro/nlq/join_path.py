@@ -9,25 +9,38 @@ resulting table graph yields the JOIN chain.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import JoinPathError
 from repro.kb.database import Database
 from repro.ontology.model import JoinStep, Ontology
 
+#: Undirected table graph: ``graph[a][b] is graph[b][a]`` is the join
+#: step between tables ``a`` and ``b`` (lower-cased names), oriented
+#: left→right as stored.  Both levels keep insertion order.
+TableGraph = dict[str, dict[str, JoinStep]]
 
-def table_join_graph(ontology: Ontology, database: Database | None = None) -> nx.Graph:
-    """Build an undirected graph of tables; edges carry a normalized
-    :class:`JoinStep` (attribute ``step``, oriented left→right as stored)."""
-    graph = nx.Graph()
+
+def table_join_graph(
+    ontology: Ontology, database: Database | None = None
+) -> TableGraph:
+    """Build the undirected table graph of the ontology's join steps.
+
+    Concept tables come first, then the tables each edge adds, in edge
+    order; an edge seen again replaces its step but keeps its place.
+    """
+    graph: TableGraph = {}
+
+    def add_edge(step: JoinStep) -> None:
+        left, right = step.left_table.lower(), step.right_table.lower()
+        graph.setdefault(left, {})
+        graph.setdefault(right, {})
+        graph[left][right] = graph[right][left] = step
+
     for concept in ontology.concepts():
         if concept.table:
-            graph.add_node(concept.table.lower(), concept=concept.name)
+            graph.setdefault(concept.table.lower(), {})
     for prop in ontology.object_properties():
         for step in prop.join_path:
-            graph.add_edge(
-                step.left_table.lower(), step.right_table.lower(), step=step
-            )
+            add_edge(step)
     # isA edges: child PK == parent PK (requires schema access for PK names).
     if database is not None:
         for child_name, parent_name in ontology.isa_edges():
@@ -43,12 +56,52 @@ def table_join_graph(ontology: Ontology, database: Database | None = None) -> nx
             parent_pk = database.table(parent.table).schema.primary_key
             if child_pk is None or parent_pk is None:
                 continue
-            graph.add_edge(
-                child.table.lower(),
-                parent.table.lower(),
-                step=JoinStep(child.table, child_pk, parent.table, parent_pk),
-            )
+            add_edge(JoinStep(child.table, child_pk, parent.table, parent_pk))
     return graph
+
+
+def _shortest_node_path(
+    graph: TableGraph, source: str, target: str
+) -> list[str] | None:
+    """Tables on a shortest walk from ``source`` to ``target``, or None.
+
+    A bidirectional BFS: each round expands the smaller frontier (the
+    forward one on ties), each table's neighbours in adjacency order,
+    and stops at the first table both searches have reached.  These are
+    the rules of networkx's ``bidirectional_shortest_path``, so among
+    several shortest walks it picks the one ``nx.shortest_path`` does.
+    """
+    fringes = [[source], [target]]
+    # reached[0]: table -> its predecessor towards source;
+    # reached[1]: table -> its successor towards target.
+    reached: list[dict[str, str | None]] = [{source: None}, {target: None}]
+    while fringes[0] and fringes[1]:
+        side = 0 if len(fringes[0]) <= len(fringes[1]) else 1
+        level, fringes[side] = fringes[side], []
+        mine, other = reached[side], reached[1 - side]
+        for table in level:
+            for neighbour in graph[table]:
+                if neighbour not in mine:
+                    mine[neighbour] = table
+                    fringes[side].append(neighbour)
+                if neighbour in other:
+                    return _walk(reached, neighbour)
+    return None
+
+
+def _walk(reached: list[dict[str, str | None]], meet: str) -> list[str]:
+    """The source→target walk through ``meet`` that the searches recorded."""
+    path: list[str] = []
+    node: str | None = meet
+    while node is not None:
+        path.append(node)
+        node = reached[0][node]
+    path.reverse()
+    node = reached[1][meet]
+    while node is not None:
+        path.append(node)
+        node = reached[1][node]
+    return path
 
 
 def find_join_path(
@@ -56,7 +109,7 @@ def find_join_path(
     from_table: str,
     to_table: str,
     database: Database | None = None,
-    graph: nx.Graph | None = None,
+    graph: TableGraph | None = None,
 ) -> list[JoinStep]:
     """Shortest chain of join steps from ``from_table`` to ``to_table``.
 
@@ -74,15 +127,14 @@ def find_join_path(
             f"no join path: table {from_table!r} or {to_table!r} is not bound "
             "in the ontology"
         )
-    try:
-        node_path = nx.shortest_path(graph, src, dst)
-    except nx.NetworkXNoPath:
+    node_path = _shortest_node_path(graph, src, dst)
+    if node_path is None:
         raise JoinPathError(
             f"no join path between {from_table!r} and {to_table!r}"
-        ) from None
+        )
     steps: list[JoinStep] = []
     for left, right in zip(node_path, node_path[1:]):
-        step: JoinStep = graph.edges[left, right]["step"]
+        step = graph[left][right]
         if step.left_table.lower() != left:
             step = step.reversed()
         steps.append(step)

@@ -181,10 +181,11 @@ class TestAuditCLI:
     def test_check_deep_builds_and_binds_once(self, monkeypatch, capsys):
         # Both checker layers read one artifact build, in which each
         # distinct template SQL is parsed exactly once.
-        from repro.analysis import runner, space_checker
+        from repro.analysis import space_checker
 
         builds, parses = [], []
-        real_build, real_parse = runner.build_artifacts, space_checker.parse_sql
+        real_build = space_checker.build_artifacts
+        real_parse = space_checker.parse_sql
 
         def build(*args, **kwargs):
             builds.append(real_build(*args, **kwargs))
@@ -194,7 +195,7 @@ class TestAuditCLI:
             parses.append(sql)
             return real_parse(sql)
 
-        monkeypatch.setattr(runner, "build_artifacts", build)
+        monkeypatch.setattr(space_checker, "build_artifacts", build)
         monkeypatch.setattr(space_checker, "parse_sql", parse)
         assert main(["check", "--deep"]) == 0
         assert len(builds) == 1

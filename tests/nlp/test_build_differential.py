@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.nlp import classifier as classifier_module
 from repro.nlp.classifier import SoftmaxClassifier
 from repro.nlp.vectorizer import TfidfVectorizer
 
@@ -85,6 +86,16 @@ class TestSoftmaxFitDifferential:
         utterances = [e.utterance for e in toy_space.training_examples]
         labels = [e.intent for e in toy_space.training_examples]
         features = TfidfVectorizer().fit_transform(utterances)
+        _assert_fit_matches_reference(SoftmaxClassifier(), features, labels)
+
+    def test_mdx_space_bit_identical(self, mdx_agent):
+        # The shipped model: ~7k features, so ``fit`` adds ``l2 W`` in
+        # several row blocks, the last one short.
+        utterances = [e.utterance for e in mdx_agent.space.training_examples]
+        labels = [e.intent for e in mdx_agent.space.training_examples]
+        features = TfidfVectorizer().fit_transform(utterances)
+        assert features.shape[1] > 2 * classifier_module._L2_BLOCK_ROWS
+        assert features.shape[1] % classifier_module._L2_BLOCK_ROWS
         _assert_fit_matches_reference(SoftmaxClassifier(), features, labels)
 
 

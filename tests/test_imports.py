@@ -2,7 +2,10 @@
 
 The router process only forwards bytes, so its import path must not
 load the model's libraries; the package ``__init__`` files re-export
-lazily to make that so.
+lazily to make that so.  The serving processes that hold the model
+(the single server and the router's workers) load numpy and scipy but
+not networkx, which only the offline ``pagerank``/``betweenness``
+centralities use.
 """
 
 from __future__ import annotations
@@ -44,6 +47,22 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in %r)))
 """ % (HEAVY,)
 
 
+#: Starts and drains a single ``repro serve`` through the CLI (which
+#: builds the MDX agent and imports the server), then prints the
+#: networkx modules the process loaded.
+_SERVING_PROCESS = """
+import sys
+from repro import cli
+
+args = cli.build_parser().parse_args([
+    "serve", "--port", "0", "--kb-backend", "memory",
+])
+assert cli.cmd_serve(args, output_fn=lambda line: None, run_forever=False) == 0
+assert "repro.serving.server" in sys.modules
+print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
+"""
+
+
 def _run(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *argv], cwd=REPO_ROOT, capture_output=True,
@@ -61,6 +80,28 @@ def test_importing_the_package_loads_no_model_libraries():
     result = _run("-c", (
         "import sys, repro, repro.serving, repro.persistence\n"
         f"print([m for m in {HEAVY!r} if m in sys.modules])"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_serving_process_loads_no_networkx():
+    result = _run("-c", _SERVING_PROCESS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("modules, libraries", [
+    # The bootstrap layers a serving process builds its agent with.
+    ("repro.ontology, repro.bootstrap, repro.nlq", ("networkx",)),
+    # ``repro lint``/``race``/``purity`` only parse source files; the
+    # space checkers that need the model are imported per command.
+    ("repro.analysis.runner", HEAVY),
+], ids=["bootstrap", "analysis_runner"])
+def test_import_loads_no_heavy_library(modules, libraries):
+    result = _run("-c", (
+        f"import sys, {modules}\n"
+        f"print([m for m in {libraries!r} if m in sys.modules])"
     ))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
