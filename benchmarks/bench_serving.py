@@ -358,7 +358,7 @@ def run_refresh_drill(
         db = build_mdx_database(
             GeneratorConfig(max_drugs=40, max_conditions=20)
         )
-        return wrap_database(db, "memory")
+        return wrap_database(db)
 
     drugs = [
         row[0] for row in agent.database.query("SELECT name FROM drug").rows

@@ -87,32 +87,23 @@ def _report(
     return 1 if error_count(active, strict=args.strict) else 0
 
 
-def _select_backend(args: argparse.Namespace, database):
-    """Honour ``--backend``: validate against a pluggable KB backend.
+def _select_kb(args: argparse.Namespace, database):
+    """The KB to validate: ``--kb PATH`` (a ``kb.db``) or the built one.
 
-    ``sqlite:<path>`` opens an already-materialised file (``repro export
-    --sqlite``) so the audit sees exactly what a sqlite-backed server
-    would serve; bare ``sqlite`` round-trips the freshly built database
-    through an in-memory SQLite; ``memory``/unset keeps the in-memory
-    engine.
+    The file is read by :func:`repro.kb.io.load_sqlite` and frozen into
+    a snapshot, so the check sees what a server loading it would serve.
     """
-    spec = getattr(args, "backend", None)
-    if not spec or spec == "memory":
+    path = getattr(args, "kb", None)
+    if not path:
         return database
     from repro.errors import KBError
-    from repro.kb.backend import (
-        open_backend,
-        parse_backend_spec,
-        wrap_database,
-    )
+    from repro.kb.backend import KBSnapshot
+    from repro.kb.io import load_sqlite
 
     try:
-        kind, path = parse_backend_spec(spec)
-        if kind == "sqlite" and path is not None:
-            return open_backend(spec)
-        return wrap_database(database, spec)
+        return KBSnapshot(load_sqlite(path))
     except KBError as exc:
-        raise SystemExit(f"--backend: {exc}") from exc
+        raise SystemExit(f"--kb: {exc}") from exc
 
 
 def _build_space(args: argparse.Namespace):
@@ -128,7 +119,7 @@ def _build_space(args: argparse.Namespace):
             json.loads(Path(args.space).read_text(encoding="utf-8")),
             database=database,
         )
-        return space, _select_backend(args, database)
+        return space, _select_kb(args, database)
     from repro.medical import build_mdx_database, build_mdx_space
     from repro.medical.build import rename_to_paper_intents
 
@@ -136,7 +127,7 @@ def _build_space(args: argparse.Namespace):
     space = build_mdx_space(database)
     # Mirror what `repro serve` ships: the paper's intent names.
     rename_to_paper_intents(space)
-    return space, _select_backend(args, database)
+    return space, _select_kb(args, database)
 
 
 def _ambiguity_config(args: argparse.Namespace) -> AmbiguityConfig:

@@ -74,7 +74,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.atomic import atomic_write
-from repro.errors import KBError
 
 if TYPE_CHECKING:
     from repro.engine import ConversationAgent
@@ -82,18 +81,6 @@ if TYPE_CHECKING:
 # The agent, KB, bootstrap, medical and analysis modules are imported by
 # the commands that use them: the router process (``serve --workers N``)
 # only forwards bytes and never loads numpy, scipy or networkx.
-
-
-def _backend_spec(args: argparse.Namespace) -> str:
-    """The KB backend spec: ``--kb-backend`` wins over REPRO_KB_BACKEND."""
-    from repro.kb.backend import backend_spec_from_env, parse_backend_spec
-
-    spec = getattr(args, "kb_backend", None) or backend_spec_from_env()
-    try:
-        parse_backend_spec(spec)  # fail fast on typos, before the build
-    except KBError as exc:
-        raise SystemExit(str(exc)) from exc
-    return spec
 
 
 def _load_database(args: argparse.Namespace):
@@ -114,9 +101,8 @@ def _build_agent(args: argparse.Namespace) -> ConversationAgent:
     from repro.kb.backend import wrap_database
     from repro.medical import build_mdx_agent
 
-    spec = _backend_spec(args)
     database = _load_database(args)
-    backend = wrap_database(database, spec)
+    backend = wrap_database(database)
     if args.space:
         space = space_from_dict(
             json.loads(Path(args.space).read_text(encoding="utf-8")),
@@ -132,20 +118,11 @@ def _kb_builder(args: argparse.Namespace) -> Callable[[], object]:
     """The zero-argument snapshot builder ``POST /refresh`` invokes.
 
     Re-runs the same KB load the server booted with (CSV directory or
-    the synthetic MDX build) and wraps it for the configured backend.
-    A refreshed SQLite snapshot always lands in ``:memory:`` — the old
-    backend may still be serving in-flight plans from the previous file,
-    so the builder never overwrites a path out from under it.
+    the synthetic MDX build) and freezes it into a snapshot.
     """
-    from repro.kb.backend import parse_backend_spec, wrap_database
+    from repro.kb.backend import wrap_database
 
-    kind, _path = parse_backend_spec(_backend_spec(args))
-
-    def build() -> object:
-        database = _load_database(args)
-        return wrap_database(database, "sqlite" if kind == "sqlite" else "memory")
-
-    return build
+    return lambda: wrap_database(_load_database(args))
 
 
 def cmd_chat(
@@ -252,8 +229,7 @@ def cmd_simulate(args: argparse.Namespace, output_fn=print) -> int:
 def cmd_export(args: argparse.Namespace, output_fn=print) -> int:
     """Write the MDX artifacts (space JSON, OWL, CSV KB, logic table)."""
     from repro.bootstrap import space_to_dict
-    from repro.kb.backend import wrap_database
-    from repro.kb.io import save_database
+    from repro.kb.io import save_database, save_sqlite
     from repro.medical import build_mdx_agent, build_mdx_database, build_mdx_space
     from repro.ontology import ontology_to_owl
 
@@ -275,10 +251,7 @@ def cmd_export(args: argparse.Namespace, output_fn=print) -> int:
     )
     extras = ""
     if getattr(args, "sqlite", False):
-        backend = wrap_database(database, f"sqlite:{out / 'kb.db'}")
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
+        save_sqlite(database, out / "kb.db")
         extras = "  kb.db"
     output_fn(f"Artifacts written to {out}/")
     output_fn("  conversation_space.json  ontology.owl  kb/  "
@@ -455,7 +428,6 @@ def _serve_worker(args: argparse.Namespace, output_fn, run_forever) -> int:
 
 def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
     """Front ``--workers N`` worker subprocesses with the session router."""
-    from repro.kb.backend import parse_backend_spec
     from repro.persistence.router import SessionRouter
 
     if not args.data_dir:
@@ -467,13 +439,6 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
         worker_args += ["--space", args.space]
     if args.data:
         worker_args += ["--data", args.data]
-    if args.kb_backend:
-        # Workers each materialise their own replica; a shared sqlite
-        # *file* path would have N processes clobbering one database, so
-        # only the backend kind is forwarded (sqlite replicas stay
-        # per-worker, in :memory:).
-        kind, _path = parse_backend_spec(args.kb_backend)
-        worker_args += ["--kb-backend", kind]
     worker_args += [
         "--name", args.name,
         "--domain", args.domain,
@@ -618,9 +583,9 @@ def _add_audit_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: 0.9)",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="KB backend to validate against: 'memory' (default), "
-        "'sqlite', or 'sqlite:<path>' (an exported kb.db)",
+        "--kb", default=None, metavar="PATH",
+        help="validate against this SQLite KB file (a kb.db from "
+        "`repro export --sqlite`) instead of the built KB",
     )
 
 
@@ -657,10 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("--domain", default="knowledge base", help="domain label")
     chat.add_argument("--trace", action="store_true",
                       help="print the per-stage pipeline trace after each turn")
-    chat.add_argument("--kb-backend", default=None,
-                      help="KB backend: 'memory' (default), 'sqlite', or "
-                           "'sqlite:<path>'; REPRO_KB_BACKEND sets the "
-                           "default")
     chat.set_defaults(handler=cmd_chat)
 
     demo = sub.add_parser("demo", help="replay the paper's §6.3 conversations")
@@ -674,9 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="write the MDX artifacts")
     export.add_argument("--out", default="mdx-artifacts")
     export.add_argument("--sqlite", action="store_true",
-                        help="also materialise the KB as a SQLite file "
-                             "(kb.db), usable with --kb-backend "
-                             "sqlite:<path> and check/audit --backend")
+                        help="also write the KB as a SQLite file (kb.db), "
+                             "readable by check/audit --kb")
     export.set_defaults(handler=cmd_export)
 
     serve = sub.add_parser("serve", help="run the HTTP conversation server")
@@ -684,10 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--data", help="CSV knowledge-base directory")
     serve.add_argument("--name", default="Assistant", help="agent name")
     serve.add_argument("--domain", default="knowledge base", help="domain label")
-    serve.add_argument("--kb-backend", default=None,
-                       help="KB backend: 'memory' (default), 'sqlite', or "
-                            "'sqlite:<path>'; REPRO_KB_BACKEND sets the "
-                            "default")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (0 picks a free one)")

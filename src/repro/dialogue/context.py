@@ -23,8 +23,9 @@ class TurnRecord:
     ``feedback`` is the user's thumbs mark on the turn ("up", "down" or
     None), the §7.2 Equation 1 input.  ``trace`` carries the per-stage
     :class:`~repro.engine.pipeline.TurnTrace` when the turn ran through
-    the staged pipeline; it is excluded from equality so transcripts
-    compare on observable behaviour only.
+    the staged pipeline, until the next turn is recorded; it is
+    excluded from equality so transcripts compare on observable
+    behaviour only.
     """
 
     user: str
@@ -121,6 +122,10 @@ class ConversationContext:
     # -- history ------------------------------------------------------------------
 
     def record_turn(self, record: TurnRecord) -> None:
+        # Only the last turn's trace is ever read (``last_trace``), so
+        # the superseded one is dropped: a long session keeps one trace.
+        if self.history:
+            self.history[-1].trace = None
         self.history.append(record)
         self.last_response = record.agent
         if record.intent is not None:

@@ -1,4 +1,4 @@
-"""Relational knowledge-base engine with pluggable backends.
+"""Relational knowledge-base engine.
 
 This package is the storage substrate of the reproduction: the paper keeps
 its medical KB in Db2-on-Cloud and answers every intent by executing a
@@ -15,22 +15,18 @@ structured (SQL) query template against it.  We provide the equivalent:
 * :mod:`repro.kb.backend` — the :class:`KBBackend` protocol every layer
   above the KB speaks, plus the copy-on-write :class:`KBHandle` that
   swaps generation-tagged snapshots under live traffic,
-* :mod:`repro.kb.sqlite_backend` — a stdlib-``sqlite3`` backend lowering
-  the parsed SQL AST to real SQL with an in-memory fallback path.
+* :mod:`repro.kb.io` — the KB's file formats: a CSV directory and a
+  plain SQLite ``kb.db``.
 """
 
 from repro.kb.backend import (
     KBBackend,
     KBHandle,
     KBSnapshot,
-    backend_spec_from_env,
-    open_backend,
-    parse_backend_spec,
     wrap_database,
 )
 from repro.kb.database import Database
 from repro.kb.schema import Column, ForeignKey, TableSchema
-from repro.kb.sqlite_backend import SQLiteBackend
 from repro.kb.statistics import ColumnStatistics, TableStatistics
 from repro.kb.table import Table
 from repro.kb.types import DataType
@@ -46,12 +42,8 @@ __all__ = [
     "KBHandle",
     "KBSnapshot",
     "ResultSet",
-    "SQLiteBackend",
     "Table",
     "TableSchema",
     "TableStatistics",
-    "backend_spec_from_env",
-    "open_backend",
-    "parse_backend_spec",
     "wrap_database",
 ]

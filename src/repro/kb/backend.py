@@ -1,15 +1,12 @@
-"""Pluggable KB backend seam: protocol, immutable snapshots, swap handle.
+"""The KB seam: protocol, immutable snapshots, swap handle.
 
 Every layer above the KB (planner consumers, template execution, the
 query cache, serving, persistence workers, the analysis toolchain)
 speaks :class:`KBBackend` instead of the concrete in-memory
-:class:`~repro.kb.database.Database`.  Two implementations ship:
-
-* the existing in-memory engine (``Database`` itself satisfies the
-  protocol; :class:`KBSnapshot` freezes one into an immutable view), and
-* :class:`~repro.kb.sqlite_backend.SQLiteBackend`, which lowers parsed
-  SQL to real SQLite where the dialect allows and falls back to the
-  in-memory executor where it does not.
+:class:`~repro.kb.database.Database`.  There is one engine: ``Database``
+itself satisfies the protocol, and :class:`KBSnapshot` freezes one into
+an immutable view.  A ``kb.db`` file is loaded into a ``Database`` by
+:func:`repro.kb.io.load_sqlite`; it is a file format, not an executor.
 
 :class:`KBHandle` is the copy-on-write indirection that makes
 zero-downtime refresh possible: the serving layer holds one handle for
@@ -24,7 +21,6 @@ numerically smaller than the old one's.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol, runtime_checkable
 
 from repro.errors import KBError
@@ -40,14 +36,8 @@ __all__ = [
     "KBBackend",
     "KBHandle",
     "KBSnapshot",
-    "backend_spec_from_env",
-    "open_backend",
-    "parse_backend_spec",
     "wrap_database",
 ]
-
-#: Environment variable selecting the KB backend for CLI entry points.
-BACKEND_ENV_VAR = "REPRO_KB_BACKEND"
 
 #: Multiplier applied to the handle epoch when deriving generations.  A
 #: fresh snapshot restarts its local generation counters near zero, so a
@@ -61,17 +51,14 @@ EPOCH_STRIDE = 10**12
 class KBBackend(Protocol):
     """What the rest of the system is allowed to ask of a KB.
 
-    ``Database`` satisfies this structurally; so do :class:`KBSnapshot`,
-    :class:`KBHandle` and the SQLite backend.  The protocol is
+    ``Database`` satisfies this structurally; so do :class:`KBSnapshot`
+    and :class:`KBHandle`.  The protocol is
     deliberately read-only — mutation (``insert``/``create_table``) is a
     construction-time concern, not part of the serving seam.
     """
 
     @property
     def name(self) -> str: ...
-
-    @property
-    def backend_name(self) -> str: ...
 
     @property
     def generation(self) -> int: ...
@@ -115,8 +102,6 @@ class KBSnapshot:
     in-flight queries on the old snapshot stay correct after a swap.
     All read methods delegate; the three mutators raise ``KBError``.
     """
-
-    backend_name = "memory"
 
     def __init__(self, database: "Database") -> None:
         from repro.kb.database import Database as _Database
@@ -223,10 +208,6 @@ class KBHandle:
     def name(self) -> str:
         return self._state[1].name
 
-    @property
-    def backend_name(self) -> str:
-        return self._state[1].backend_name
-
     def schema(self) -> dict[str, "TableSchema"]:
         return self._state[1].schema()
 
@@ -273,54 +254,7 @@ class KBHandle:
         return f"KBHandle(epoch={epoch}, backend={type(backend).__name__})"
 
 
-def parse_backend_spec(spec: str) -> tuple[str, str | None]:
-    """Parse ``memory`` / ``sqlite`` / ``sqlite:<path>`` into (kind, path)."""
+def wrap_database(database: "Database") -> "KBBackend":
+    """Freeze a built ``database`` into the snapshot a server serves."""
 
-    text = (spec or "").strip()
-    if not text or text == "memory":
-        return ("memory", None)
-    if text == "sqlite":
-        return ("sqlite", None)
-    if text.startswith("sqlite:"):
-        path = text[len("sqlite:"):].strip()
-        return ("sqlite", path or None)
-    raise KBError(
-        f"unknown KB backend spec {spec!r}; expected 'memory', 'sqlite', or"
-        " 'sqlite:<path>'"
-    )
-
-
-def backend_spec_from_env(default: str = "memory") -> str:
-    """Read the backend spec from ``REPRO_KB_BACKEND`` (default memory)."""
-
-    return os.environ.get(BACKEND_ENV_VAR, "").strip() or default
-
-
-def wrap_database(database: "Database", spec: str = "memory") -> "KBBackend":
-    """Materialise ``database`` behind the backend named by ``spec``.
-
-    ``memory`` returns a :class:`KBSnapshot` view; ``sqlite`` (optionally
-    with a path, defaulting to an in-process ``:memory:`` database)
-    round-trips rows and schema through a real SQLite file.
-    """
-
-    kind, path = parse_backend_spec(spec)
-    if kind == "memory":
-        return KBSnapshot(database)
-    from repro.kb.sqlite_backend import SQLiteBackend
-
-    return SQLiteBackend.from_database(database, path or ":memory:")
-
-
-def open_backend(spec: str) -> "KBBackend":
-    """Open an already-materialised backend (``sqlite:<path>``)."""
-
-    kind, path = parse_backend_spec(spec)
-    if kind != "sqlite" or path is None:
-        raise KBError(
-            f"cannot open backend from spec {spec!r}: a persisted backend"
-            " path is required (e.g. 'sqlite:kb.db')"
-        )
-    from repro.kb.sqlite_backend import SQLiteBackend
-
-    return SQLiteBackend(path)
+    return KBSnapshot(database)

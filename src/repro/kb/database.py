@@ -20,13 +20,10 @@ class Database:
     ontology-generation step consumes, and executes SQL through compiled
     plans (:meth:`prepare`).
 
-    It is also the reference implementation of the
-    :class:`~repro.kb.backend.KBBackend` protocol (``backend_name ==
-    "memory"``): every other backend must match its results
-    byte-for-byte or fall back to it.
+    It is also the one implementation of the
+    :class:`~repro.kb.backend.KBBackend` protocol; snapshots and the
+    swap handle delegate to it.
     """
-
-    backend_name = "memory"
 
     def __init__(self, name: str = "kb") -> None:
         self.name = name

@@ -14,8 +14,8 @@ templates (Figure 9) and the surrounding tooling::
 with named parameters written ``:name`` (the template layer binds these).
 
 Execution is split in three layers: :func:`bind` resolves and types
-every column reference of a parsed SELECT once (the planner, the SQLite
-lowerer and both template checkers read its result),
+every column reference of a parsed SELECT once (the planner and both
+template checkers read its result),
 :mod:`repro.kb.sql.planner` compiles the bound SELECT into a reusable
 :class:`CompiledPlan` (join strategy, secondary-index pushdown), and
 :mod:`repro.kb.sql.executor` holds the row-at-a-time evaluation

@@ -9,9 +9,8 @@ ORDER BY when the query is not grouped (grouped ORDER BY names output
 columns) — to a :class:`BoundColumn` carrying its binding, table,
 column, :class:`~repro.kb.types.DataType` and row position.  The result
 is the same ``Select`` with those references replaced: the planner reads
-row positions from it, the SQLite lowerer SQL names and type classes,
-the space checker its failures (C002/C003) and the type checker column
-types and (table, column) statistics.
+row positions from it, the space checker its failures (C002/C003) and
+the type checker column types and (table, column) statistics.
 
 Failures are collected in the order the executor raises them: unknown
 tables and duplicate bindings first, then WHERE, JOIN conditions in
@@ -35,7 +34,7 @@ from repro.kb.sql import ast
 from repro.kb.types import DataType
 
 #: Type classes: two types compare meaningfully iff their classes match.
-#: Shared by the SQLite lowerer's cross-type rule and the type checker.
+#: The type checker's T001 (type-mismatch) rule reads them.
 TYPE_CLASS = {
     DataType.INTEGER: "number",
     DataType.FLOAT: "number",
@@ -138,7 +137,7 @@ def bind(
 ) -> BoundSelect:
     """Resolve and type every column reference of ``select``.
 
-    ``schemas`` maps lowercased table names to schemas (any backend's
+    ``schemas`` maps lowercased table names to schemas (a KB's
     ``schema()``).  Raises the first failure —
     :class:`~repro.errors.UnknownTableError`,
     :class:`~repro.errors.UnknownColumnError`,

@@ -612,15 +612,10 @@ class PlanCache:
     stale indexes.
     """
 
-    def __init__(self, max_plans: int = 256, compile_factory: Any = None) -> None:
+    def __init__(self, max_plans: int = 256) -> None:
         if max_plans < 1:
             raise ValueError("max_plans must be >= 1")
         self.max_plans = max_plans
-        # Optional ``(database, sql, use_indexes) -> plan`` hook letting
-        # alternative KB backends cache their own plan type behind the
-        # same LRU + schema-generation invalidation.  Cached plans only
-        # need ``schema_generation``/``executions``/``index_probes``.
-        self._compile_factory = compile_factory
         self._lock = threading.Lock()
         self._plans: "OrderedDict[tuple[str, bool], CompiledPlan]" = OrderedDict()
         self.hits = 0
@@ -655,10 +650,7 @@ class PlanCache:
         # Compile outside the lock: parsing + resolution can be slow and
         # must not serialize unrelated queries.  A concurrent duplicate
         # compile is harmless — last writer wins.
-        if self._compile_factory is not None:
-            plan = self._compile_factory(database, sql, use_indexes)
-        else:
-            plan = CompiledPlan(database, parse(sql), sql=sql, use_indexes=use_indexes)
+        plan = CompiledPlan(database, parse(sql), sql=sql, use_indexes=use_indexes)
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)

@@ -69,7 +69,7 @@ class StructuredQueryTemplate:
     def execute(self, database: Database, bindings: dict[str, str]) -> ResultSet:
         """Instantiate and run the template through ``database.query``.
 
-        Both backends' ``query`` goes through their compiled-plan cache,
+        ``query`` goes through the database's compiled-plan cache,
         so serving the same template repeatedly never re-parses or
         re-plans its SQL, and the serving layer's result cache sees
         every execution.

@@ -160,8 +160,7 @@ class MetricsRegistry:
         """Register a live-value gauge; ``read`` is called at render time.
 
         Like counters/histograms, one optional ``(name, value)`` label
-        pair distinguishes gauge families (e.g. per-path plan counts,
-        per-backend info gauges).
+        pair distinguishes gauge families (e.g. per-path plan counts).
         """
         with self._lock:
             self._gauges[(name, label)] = read

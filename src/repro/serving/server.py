@@ -289,38 +289,25 @@ class ConversationApp:
         self.metrics.gauge(
             "kb_generation", lambda: self._original_database.generation
         )
-        # KB backend / refresh observability.  kb_refresh_total and the
-        # duration histogram are registered now so they render as 0
-        # before the first refresh; kb_backend_info is an info-style
-        # gauge (1 on the active backend's label, 0 elsewhere); and
-        # plan_lowered_total counts plan executions by physical path
-        # (memory | sql | fallback) from the active backend.
+        # KB refresh observability.  kb_refresh_total and the duration
+        # histogram are registered now so they render as 0 before the
+        # first refresh; plan_lowered_total counts the active snapshot's
+        # plan executions (the in-memory engine is the one path).
         self.metrics.counter("kb_refresh_total")
         self._refresh_duration = self.metrics.histogram(
             "kb_refresh_duration_seconds"
         )
-        for backend_label in ("memory", "sqlite"):
-            self.metrics.gauge(
-                "kb_backend_info",
-                lambda b=backend_label: (
-                    1.0
-                    if self._original_database.backend_name == b
-                    else 0.0
-                ),
-                label=("backend", backend_label),
-            )
         self.metrics.gauge(
             "kb_epoch",
             lambda: float(self._original_database.epoch),
         )
-        for path_label in ("memory", "sql", "fallback"):
-            self.metrics.gauge(
-                "plan_lowered_total",
-                lambda p=path_label: float(
-                    self._original_database.execution_paths().get(p, 0)
-                ),
-                label=("path", path_label),
-            )
+        self.metrics.gauge(
+            "plan_lowered_total",
+            lambda: float(
+                self._original_database.execution_paths()["memory"]
+            ),
+            label=("path", "memory"),
+        )
         self.metrics.gauge(
             "query_cache_stale_drops_total",
             lambda: float(self.cache.stale_drops),
@@ -820,7 +807,6 @@ class ConversationApp:
             return {
                 "status": "ok",
                 "epoch": epoch,
-                "backend": getattr(backend, "backend_name", "memory"),
                 "generation": handle.generation,
                 "tables": len(backend.table_names()),
                 "duration_seconds": round(duration, 6),

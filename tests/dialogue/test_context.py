@@ -72,6 +72,14 @@ class TestHistory:
         ctx.mark_last_turn("down")
         assert [t.feedback for t in ctx.history] == [None, "down"]
 
+    def test_only_the_last_turn_keeps_its_trace(self):
+        ctx = ConversationContext()
+        traces = [object() for _ in range(4)]
+        for index, trace in enumerate(traces):
+            ctx.record_turn(TurnRecord(user=f"u{index}", agent="a", trace=trace))
+            assert ctx.last_trace is trace
+        assert [t.trace for t in ctx.history] == [None, None, None, traces[-1]]
+
     def test_feedback_serialized_only_when_set(self):
         unmarked = TurnRecord(user="a", agent="b")
         assert "feedback" not in unmarked.to_dict()

@@ -195,6 +195,26 @@ class TestMemory:
                 session.ask(utterance)
             session.thumbs_down()
 
+    def test_live_session_keeps_only_the_last_trace(self, toy_agent):
+        # ``chat --trace`` and ``/chat`` debug render the trace of the
+        # response just returned; older turns drop theirs from history.
+        from repro.engine.pipeline import render_trace
+
+        def shown(trace):
+            return render_trace(trace), trace.to_dict()
+
+        session = toy_agent.session()
+        responses, at_the_time = [], []
+        for utterance in self.SCRIPT:
+            response = session.ask(utterance)
+            assert session.last_trace() is response.trace
+            responses.append(response)
+            at_the_time.append(shown(response.trace))
+        history = session.transcript()
+        assert [t.trace is None for t in history] == [True] * 3 + [False]
+        # Dropping a trace from history leaves the response's own intact.
+        assert [shown(r.trace) for r in responses] == at_the_time
+
     def test_dropped_sessions_retain_nothing_per_turn(self, toy_agent):
         # Warm up first so plan caches and memos are already populated.
         self._run(toy_agent, 50)

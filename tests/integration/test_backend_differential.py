@@ -1,93 +1,31 @@
-"""Differential correctness: every shipped MDX template, memory vs SQLite.
+"""The SQL edge corpus: the in-memory engine's answers, pinned as typed rows.
 
-The acceptance criterion for the pluggable-backend work is that the
-backend changes only *where* rows are found, never *which* rows come
-back: for every structured query template the MDX agent ships, the
-in-memory reference engine and the SQLite backend must return
-byte-identical result sets — same values, same types (an affinity
-coercion from ``True`` to ``1`` counts as a failure), same order.
+The in-memory engine is the KB's one executor, and it departs from
+standard SQL on purpose (DESIGN.md, "The in-memory engine"): two-valued
+NULL logic, case-folded text, booleans as a real type, deterministic
+enumeration order with stable ties, first-occurrence DISTINCT.  Each
+query below carries its expected column names and rows as literals, with
+their runtime types (``True`` is not ``1``, ``1.5`` is not ``'1.5'``).
+The rows were recorded when this engine and a SQLite lowering of the
+same SQL agreed on every one of them, so they also pin the dialect
+against real SQL semantics.
 
-A hand-written edge corpus covers the dialect gaps the templates do
-not reach: NULL ordering, ORDER BY ties, LIMIT/OFFSET, DISTINCT over
-case-folded duplicates, boolean keys, LIKE, IN, NOT.
+The corpus covers NULL ordering, ORDER BY ties, LIMIT/OFFSET, DISTINCT
+over case-folded duplicates, boolean keys, LIKE, IN, NOT and joins.
+Every query runs on both the indexed plan and the full-scan plan.
 """
 
 from __future__ import annotations
 
-import sqlite3
-
 import pytest
 
+from repro.errors import AmbiguousColumnError, BindingError
 from repro.kb import Column, Database, DataType, TableSchema
-from repro.kb.backend import wrap_database
-
-HAS_WINDOW_FUNCTIONS = sqlite3.sqlite_version_info >= (3, 25, 0)
 
 
-def typed_rows(result) -> list[list[tuple[str, object]]]:
+def typed_rows(rows) -> list[list[tuple[str, object]]]:
     """Rows with the concrete runtime type of every value made explicit."""
-    return [[(type(v).__name__, v) for v in row] for row in result.rows]
-
-
-@pytest.fixture(scope="module")
-def bindings(mdx_small_space) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for entity in mdx_small_space.entities:
-        if entity.kind == "instance" and entity.concept and entity.values:
-            out.setdefault(entity.concept.lower(), entity.values[0].value)
-    return out
-
-
-@pytest.fixture(scope="module")
-def sqlite_backend(mdx_small_db):
-    return wrap_database(mdx_small_db, "sqlite")
-
-
-def all_templates(mdx_small_space):
-    for intent in mdx_small_space.intents:
-        yield from intent.custom_templates
-
-
-class TestShippedTemplates:
-    def test_every_template_identical_on_both_backends(
-        self, mdx_small_space, mdx_small_db, sqlite_backend, bindings
-    ):
-        checked = 0
-        unbindable = []
-        for template in all_templates(mdx_small_space):
-            concept_values = {}
-            for concept in template.required_concepts():
-                value = bindings.get(concept.lower())
-                if value is not None:
-                    concept_values[concept] = value
-            if len(concept_values) != len(template.required_concepts()):
-                unbindable.append(template.sql)
-                continue
-            params = template.instantiate(concept_values)
-            reference = mdx_small_db.prepare(template.sql).execute(params)
-            candidate = sqlite_backend.prepare(template.sql).execute(params)
-            assert candidate.columns == reference.columns, template.sql
-            assert typed_rows(candidate) == typed_rows(reference), template.sql
-            checked += 1
-        assert checked > 0
-        assert not unbindable, f"templates with unbindable concepts: {unbindable}"
-
-    @pytest.mark.skipif(not HAS_WINDOW_FUNCTIONS,
-                        reason="DISTINCT lowering needs SQLite >= 3.25")
-    def test_every_shipped_template_lowers_to_real_sql(
-        self, mdx_small_space, sqlite_backend
-    ):
-        # Regression guard for the lowered path itself: the shipped
-        # templates are all plain SELECT (DISTINCT) + joins + equality
-        # parameters, which the lowering covers completely.  A template
-        # silently dropping to the fallback would hide lowering bugs
-        # from the differential suite above.
-        fallbacks = []
-        for template in all_templates(mdx_small_space):
-            plan = sqlite_backend.prepare(template.sql)
-            if plan.lowered_sql is None:
-                fallbacks.append((template.sql, plan.fallback_reason))
-        assert not fallbacks, f"templates that fell back: {fallbacks}"
+    return [[(type(v).__name__, v) for v in row] for row in rows]
 
 
 def make_edge_database() -> Database:
@@ -126,78 +64,177 @@ def make_edge_database() -> Database:
     return db
 
 
+#: (sql, params, expected columns, expected rows)
 EDGE_QUERIES = [
-    # NULL ordering, ascending and descending.
-    ("SELECT id, rank FROM t ORDER BY rank", {}),
-    ("SELECT id, rank FROM t ORDER BY rank DESC", {}),
-    ("SELECT id, name FROM t ORDER BY name", {}),
-    ("SELECT id, name FROM t ORDER BY name DESC, id DESC", {}),
-    # ORDER BY ties: insertion order must break them identically.
-    ("SELECT id FROM t ORDER BY rank, score", {}),
-    ("SELECT id FROM t ORDER BY score DESC", {}),
+    # NULL ordering, ascending and descending: NULL sorts first.
+    ('SELECT id, rank FROM t ORDER BY rank', {},
+     ('id', 'rank'),
+     [(5, None), (2, 1), (4, 1), (7, 1), (1, 2), (3, 2), (6, 2)]),
+    ('SELECT id, rank FROM t ORDER BY rank DESC', {},
+     ('id', 'rank'),
+     [(1, 2), (3, 2), (6, 2), (2, 1), (4, 1), (7, 1), (5, None)]),
+    ('SELECT id, name FROM t ORDER BY name', {},
+     ('id', 'name'),
+     [(3, None), (7, None), (1, 'Alpha'), (4, 'ALPHA'), (2, 'beta'), (6, 'Beta'), (5, 'gamma')]),
+    ('SELECT id, name FROM t ORDER BY name DESC, id DESC', {},
+     ('id', 'name'),
+     [(5, 'gamma'), (6, 'Beta'), (2, 'beta'), (4, 'ALPHA'), (1, 'Alpha'), (7, None), (3, None)]),
+    # ORDER BY ties: insertion order breaks them (stable sort).
+    ('SELECT id FROM t ORDER BY rank, score', {},
+     ('id',),
+     [(5,), (2,), (7,), (4,), (3,), (1,), (6,)]),
+    ('SELECT id FROM t ORDER BY score DESC', {},
+     ('id',),
+     [(4,), (1,), (5,), (6,), (3,), (2,), (7,)]),
     # LIMIT / OFFSET over a tied ordering.
-    ("SELECT id FROM t ORDER BY rank LIMIT 3", {}),
-    ("SELECT id FROM t ORDER BY rank LIMIT 3 OFFSET 2", {}),
-    ("SELECT id FROM t ORDER BY rank LIMIT 100 OFFSET 5", {}),
-    # DISTINCT: case-folded text keys, NULL keys, bool keys, multi-column.
-    ("SELECT DISTINCT name FROM t", {}),
-    ("SELECT DISTINCT name FROM t ORDER BY name", {}),
-    ("SELECT DISTINCT rank FROM t ORDER BY rank DESC", {}),
-    ("SELECT DISTINCT flag FROM t", {}),
-    ("SELECT DISTINCT rank, score FROM t ORDER BY rank", {}),
-    ("SELECT DISTINCT name FROM t ORDER BY name LIMIT 2 OFFSET 1", {}),
+    ('SELECT id FROM t ORDER BY rank LIMIT 3', {},
+     ('id',),
+     [(5,), (2,), (4,)]),
+    ('SELECT id FROM t ORDER BY rank LIMIT 3 OFFSET 2', {},
+     ('id',),
+     [(4,), (7,), (1,)]),
+    ('SELECT id FROM t ORDER BY rank LIMIT 100 OFFSET 5', {},
+     ('id',),
+     [(3,), (6,)]),
+    # DISTINCT: case-folded text keys, NULL keys, bool keys, multi-column;
+    # the first occurrence of each key is kept.
+    ('SELECT DISTINCT name FROM t', {},
+     ('name',),
+     [('Alpha',), ('beta',), (None,), ('gamma',)]),
+    ('SELECT DISTINCT name FROM t ORDER BY name', {},
+     ('name',),
+     [(None,), ('Alpha',), ('beta',), ('gamma',)]),
+    ('SELECT DISTINCT rank FROM t ORDER BY rank DESC', {},
+     ('rank',),
+     [(2,), (1,), (None,)]),
+    ('SELECT DISTINCT flag FROM t', {},
+     ('flag',),
+     [(True,), (False,), (None,)]),
+    ('SELECT DISTINCT rank, score FROM t ORDER BY rank', {},
+     ('rank', 'score'),
+     [(None, 1.5), (1, None), (1, 2.5), (2, 1.5), (2, 0.5)]),
+    ('SELECT DISTINCT name FROM t ORDER BY name LIMIT 2 OFFSET 1', {},
+     ('name',),
+     [('Alpha',), ('beta',)]),
     # Two-valued NULL logic under NOT / comparisons.
-    ("SELECT id FROM t WHERE rank = 2", {}),
-    ("SELECT id FROM t WHERE NOT rank = 2", {}),
-    ("SELECT id FROM t WHERE score > 1.0", {}),
-    ("SELECT id FROM t WHERE NOT score > 1.0", {}),
-    ("SELECT id FROM t WHERE rank IS NULL", {}),
-    ("SELECT id FROM t WHERE rank IS NOT NULL", {}),
+    ('SELECT id FROM t WHERE rank = 2', {},
+     ('id',),
+     [(1,), (3,), (6,)]),
+    ('SELECT id FROM t WHERE NOT rank = 2', {},
+     ('id',),
+     [(2,), (4,), (5,), (7,)]),
+    ('SELECT id FROM t WHERE score > 1.0', {},
+     ('id',),
+     [(1,), (4,), (5,), (6,)]),
+    ('SELECT id FROM t WHERE NOT score > 1.0', {},
+     ('id',),
+     [(2,), (3,), (7,)]),
+    ('SELECT id FROM t WHERE rank IS NULL', {},
+     ('id',),
+     [(5,)]),
+    ('SELECT id FROM t WHERE rank IS NOT NULL', {},
+     ('id',),
+     [(1,), (2,), (3,), (4,), (6,), (7,)]),
     # Case-insensitive text equality and LIKE.
-    ("SELECT id FROM t WHERE name = 'alpha'", {}),
-    ("SELECT id FROM t WHERE name = :n", {"n": "BETA"}),
-    ("SELECT id FROM t WHERE name LIKE 'a%'", {}),
-    ("SELECT id FROM t WHERE name NOT LIKE '%a'", {}),
+    ("SELECT id FROM t WHERE name = 'alpha'", {},
+     ('id',),
+     [(1,), (4,)]),
+    ('SELECT id FROM t WHERE name = :n', {'n': 'BETA'},
+     ('id',),
+     [(2,), (6,)]),
+    ("SELECT id FROM t WHERE name LIKE 'a%'", {},
+     ('id',),
+     [(1,), (4,)]),
+    ("SELECT id FROM t WHERE name NOT LIKE '%a'", {},
+     ('id',),
+     [(3,), (7,)]),
     # IN lists, including NULL members and negation.
-    ("SELECT id FROM t WHERE rank IN (1, 3)", {}),
-    ("SELECT id FROM t WHERE rank NOT IN (1, 3)", {}),
-    ("SELECT id FROM t WHERE name IN ('ALPHA', 'gamma')", {}),
-    ("SELECT id FROM t WHERE rank IN (:a, :b)", {"a": 1, "b": None}),
+    ('SELECT id FROM t WHERE rank IN (1, 3)', {},
+     ('id',),
+     [(2,), (4,), (7,)]),
+    ('SELECT id FROM t WHERE rank NOT IN (1, 3)', {},
+     ('id',),
+     [(1,), (3,), (5,), (6,)]),
+    ("SELECT id FROM t WHERE name IN ('ALPHA', 'gamma')", {},
+     ('id',),
+     [(1,), (4,), (5,)]),
+    ('SELECT id FROM t WHERE rank IN (:a, :b)', {'a': 1, 'b': None},
+     ('id',),
+     [(2,), (4,), (7,)]),
     # Booleans are a real type.
-    ("SELECT id, flag FROM t WHERE flag = TRUE", {}),
-    ("SELECT id FROM t WHERE flag = FALSE ORDER BY id DESC", {}),
-    ("SELECT id FROM t WHERE flag = :f", {"f": True}),
+    ('SELECT id, flag FROM t WHERE flag = TRUE', {},
+     ('id', 'flag'),
+     [(1, True), (3, True), (6, True)]),
+    ('SELECT id FROM t WHERE flag = FALSE ORDER BY id DESC', {},
+     ('id',),
+     [(5,), (2,)]),
+    ('SELECT id FROM t WHERE flag = :f', {'f': True},
+     ('id',),
+     [(1,), (3,), (6,)]),
     # Joins: enumeration order, NULL join keys, dangling FKs.
-    ("SELECT t.id, u.note FROM t JOIN u ON u.t_id = t.id", {}),
-    ("SELECT t.id, u.note FROM t JOIN u ON u.t_id = t.id ORDER BY u.note", {}),
-    ("SELECT DISTINCT t.flag FROM t JOIN u ON u.t_id = t.id", {}),
+    ('SELECT t.id, u.note FROM t JOIN u ON u.t_id = t.id', {},
+     ('id', 'note'),
+     [(1, 'x'), (1, 'y'), (3, 'z')]),
+    ('SELECT t.id, u.note FROM t JOIN u ON u.t_id = t.id ORDER BY u.note', {},
+     ('id', 'note'),
+     [(1, 'x'), (1, 'y'), (3, 'z')]),
+    ('SELECT DISTINCT t.flag FROM t JOIN u ON u.t_id = t.id', {},
+     ('flag',),
+     [(True,)]),
     # Compound predicates mixing the above.
-    ("SELECT id FROM t WHERE rank = 2 AND score > 1.0 OR flag = FALSE", {}),
-    ("SELECT id FROM t WHERE NOT (name = 'alpha' OR rank = 1)", {}),
+    ('SELECT id FROM t WHERE rank = 2 AND score > 1.0 OR flag = FALSE', {},
+     ('id',),
+     [(1,), (2,), (5,), (6,)]),
+    ("SELECT id FROM t WHERE NOT (name = 'alpha' OR rank = 1)", {},
+     ('id',),
+     [(3,), (5,), (6,)]),
 ]
 
 
 class TestEdgeCorpus:
     @pytest.fixture(scope="class")
-    def engines(self):
-        db = make_edge_database()
-        return db, wrap_database(db, "sqlite")
+    def database(self):
+        return make_edge_database()
 
-    @pytest.mark.parametrize("sql,params", EDGE_QUERIES,
-                             ids=[sql for sql, _ in EDGE_QUERIES])
-    def test_byte_identical(self, engines, sql, params):
-        reference, sqlite_backend = engines
-        expected = reference.query(sql, params)
-        actual = sqlite_backend.query(sql, params)
-        assert actual.columns == expected.columns
-        assert typed_rows(actual) == typed_rows(expected)
+    @pytest.mark.parametrize("sql,params,columns,rows", EDGE_QUERIES,
+                             ids=[sql for sql, *_ in EDGE_QUERIES])
+    def test_byte_identical(self, database, sql, params, columns, rows):
+        for use_indexes in (True, False):
+            result = database.prepare(sql, use_indexes=use_indexes).execute(
+                params
+            )
+            assert tuple(result.columns) == columns
+            assert typed_rows(result.rows) == typed_rows(rows)
 
-    def test_ambiguous_column_fails_identically(self, engines):
-        from repro.errors import AmbiguousColumnError
-
-        reference, sqlite_backend = engines
-        sql = "SELECT id FROM t JOIN u ON u.t_id = t.id"
+    def test_ambiguous_column_fails_identically(self, database):
+        # ``id`` is a column of both t and u; the binder names it at
+        # prepare, before any row is read.
         with pytest.raises(AmbiguousColumnError):
-            reference.query(sql)
-        with pytest.raises(AmbiguousColumnError):
-            sqlite_backend.query(sql)
+            database.prepare("SELECT id FROM t JOIN u ON u.t_id = t.id")
+
+
+class TestBoundParameters:
+    """Bound values follow the same dialect as literals, on both paths."""
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        return make_edge_database()
+
+    @pytest.mark.parametrize("sql,params,ids", [
+        # A text value never equals an integer column ('3' = 3 is false).
+        ("SELECT id FROM t WHERE id = :v", {"v": "3"}, []),
+        ("SELECT id FROM t WHERE id = :v", {"v": 3}, [3]),
+        # NaN equals nothing.
+        ("SELECT id FROM t WHERE score = :v", {"v": float("nan")}, []),
+        # An integer 1 is not TRUE.
+        ("SELECT id FROM t WHERE flag = :v", {"v": 1}, []),
+        ("SELECT id FROM t WHERE flag = :v", {"v": True}, [1, 3, 6]),
+    ])
+    def test_binding_dialect(self, database, sql, params, ids):
+        for use_indexes in (True, False):
+            plan = database.prepare(sql, use_indexes=use_indexes)
+            assert [row[0] for row in plan.execute(params).rows] == ids
+
+    def test_missing_parameter_raises_when_read(self, database):
+        with pytest.raises(BindingError, match="missing parameter"):
+            database.query("SELECT id FROM t WHERE id = :v")

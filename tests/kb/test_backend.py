@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.errors import KBError
@@ -10,14 +13,17 @@ from repro.kb.backend import (
     KBBackend,
     KBHandle,
     KBSnapshot,
-    backend_spec_from_env,
-    open_backend,
-    parse_backend_spec,
     wrap_database,
 )
 from repro.kb.database import Database
-from repro.kb.sqlite_backend import SQLiteBackend
+from repro.kb.io import load_sqlite, save_sqlite
 from tests.conftest import make_toy_database
+
+
+def reloaded(db: Database) -> KBSnapshot:
+    """``db`` written to a kb.db and read back, as ``check --kb`` does."""
+    with tempfile.TemporaryDirectory() as directory:
+        return KBSnapshot(load_sqlite(save_sqlite(db, Path(directory) / "kb.db")))
 
 
 class TestProtocolConformance:
@@ -27,19 +33,11 @@ class TestProtocolConformance:
         lambda db: db,
         lambda db: KBSnapshot(db),
         lambda db: KBHandle(KBSnapshot(db)),
-        lambda db: SQLiteBackend.from_database(db, ":memory:"),
+        reloaded,
     ], ids=["database", "snapshot", "handle", "sqlite"])
     def test_satisfies_protocol(self, build):
         backend = build(make_toy_database())
         assert isinstance(backend, KBBackend)
-
-    def test_backend_names(self):
-        db = make_toy_database()
-        assert db.backend_name == "memory"
-        assert KBSnapshot(db).backend_name == "memory"
-        sqlite = SQLiteBackend.from_database(db, ":memory:")
-        assert sqlite.backend_name == "sqlite"
-        assert KBHandle(sqlite).backend_name == "sqlite"
 
 
 class TestKBSnapshot:
@@ -133,56 +131,18 @@ class TestKBHandle:
         assert len(after.rows) == len(before.rows) + 1
 
 
-class TestSpecParsing:
-    @pytest.mark.parametrize("spec,expected", [
-        ("memory", ("memory", None)),
-        ("", ("memory", None)),
-        ("  ", ("memory", None)),
-        ("sqlite", ("sqlite", None)),
-        ("sqlite:kb.db", ("sqlite", "kb.db")),
-        ("sqlite:/tmp/x/kb.db", ("sqlite", "/tmp/x/kb.db")),
-    ])
-    def test_parse(self, spec, expected):
-        assert parse_backend_spec(spec) == expected
-
-    def test_unknown_spec_raises(self):
-        with pytest.raises(KBError, match="unknown KB backend spec"):
-            parse_backend_spec("postgres")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KB_BACKEND", raising=False)
-        assert backend_spec_from_env() == "memory"
-        monkeypatch.setenv("REPRO_KB_BACKEND", "sqlite")
-        assert backend_spec_from_env() == "sqlite"
-
-
 class TestFactories:
     def test_wrap_memory(self, toy_db):
-        backend = wrap_database(toy_db, "memory")
+        backend = wrap_database(toy_db)
         assert isinstance(backend, KBSnapshot)
-
-    def test_wrap_sqlite(self, toy_db):
-        backend = wrap_database(toy_db, "sqlite")
-        assert isinstance(backend, SQLiteBackend)
-        assert backend.path == ":memory:"
-
-    def test_open_backend_requires_path(self):
-        with pytest.raises(KBError, match="path is required"):
-            open_backend("sqlite")
-        with pytest.raises(KBError, match="path is required"):
-            open_backend("memory")
+        assert backend.wrapped is toy_db
 
     def test_export_then_open_round_trip(self, tmp_path):
         db = make_toy_database()
-        path = tmp_path / "kb.db"
-        wrap_database(db, f"sqlite:{path}").close()
-
-        reopened = open_backend(f"sqlite:{path}")
-        assert reopened.name == db.name
-        assert reopened.generation == db.generation
-        assert sorted(reopened.table_names()) == sorted(db.table_names())
+        reopened = KBSnapshot(load_sqlite(save_sqlite(db, tmp_path / "toy.db")))
+        assert reopened.name == "toy"  # the file's stem
+        assert reopened.table_names() == db.table_names()
         reference = db.query("SELECT name, brand FROM drug ORDER BY name")
         assert reopened.query(
             "SELECT name, brand FROM drug ORDER BY name"
         ) == reference
-        reopened.close()

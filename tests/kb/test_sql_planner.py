@@ -346,7 +346,7 @@ class TestGenerations:
 class TestSemiJoinReduction:
     """An inner equi-join with pushed filters, keyed on a FROM-table
     column, reduces the FROM table before any join runs.  Every case
-    runs the scan path, the indexed path and the SQLite backend."""
+    runs the scan path and the indexed path."""
 
     @pytest.fixture
     def rx(self) -> Database:
@@ -377,18 +377,6 @@ class TestSemiJoinReduction:
                                "route_id": route_id, "amount": amount})
         return db
 
-    @staticmethod
-    def every_engine(db, sql, params=None):
-        from repro.kb.backend import wrap_database
-
-        indexed = both_paths(db, sql, params)
-        sqlite = wrap_database(db, "sqlite").prepare(sql).execute(params)
-        typed = [[(type(v).__name__, v) for v in row] for row in indexed.rows]
-        assert typed == [
-            [(type(v).__name__, v) for v in row] for row in sqlite.rows
-        ]
-        return indexed
-
     def test_plan_names_the_semi_join(self, rx):
         sql = (
             "SELECT o.dose_id FROM dose o "
@@ -402,7 +390,7 @@ class TestSemiJoinReduction:
 
     def test_null_foreign_key_never_survives(self, rx):
         # dose 13 has no drug: the base index holds no NULL key.
-        result = self.every_engine(
+        result = both_paths(
             rx,
             "SELECT o.dose_id FROM dose o "
             "JOIN drug d ON o.drug_id = d.drug_id WHERE d.name = :n",
@@ -417,8 +405,8 @@ class TestSemiJoinReduction:
             "JOIN dose o ON d.drug_id = o.drug_id WHERE o.amount = :a"
         )
         assert rx.prepare(sql).plan().ops()[0] == "semi-join"
-        assert self.every_engine(rx, sql, {"a": 50.0}).rows == []
-        assert self.every_engine(rx, sql, {"a": 100.0}).rows == [
+        assert both_paths(rx, sql, {"a": 50.0}).rows == []
+        assert both_paths(rx, sql, {"a": 100.0}).rows == [
             ("Aspirin",), ("Aspirin",)
         ]
 
@@ -429,7 +417,7 @@ class TestSemiJoinReduction:
             "WHERE d.name = :n ORDER BY o.dose_id"
         )
         assert rx.prepare(sql).plan().ops()[0] == "scan"
-        result = self.every_engine(rx, sql, {"n": "ibuprofen"})
+        result = both_paths(rx, sql, {"n": "ibuprofen"})
         assert result.rows == [(11, "Ibuprofen")]
 
     def test_two_pushed_steps_intersect(self, rx):
@@ -443,10 +431,10 @@ class TestSemiJoinReduction:
         assert step.op == "semi-join"
         assert "o.drug_id IN drug" in step.detail
         assert "o.route_id IN route" in step.detail
-        result = self.every_engine(rx, sql, {"n": "aspirin", "r": "oral"})
+        result = both_paths(rx, sql, {"n": "aspirin", "r": "oral"})
         assert result.rows == [(10, "Aspirin", "oral"), (15, "Aspirin", "oral")]
         # Each filter alone matches rows; together they match none.
-        assert self.every_engine(rx, sql, {"n": "ibuprofen", "r": "iv"}).rows == []
+        assert both_paths(rx, sql, {"n": "ibuprofen", "r": "iv"}).rows == []
 
     def test_reduction_meets_the_base_filter(self, rx):
         sql = (
@@ -456,10 +444,10 @@ class TestSemiJoinReduction:
         )
         step = rx.prepare(sql).plan().steps[0]
         assert step.detail.startswith("index-lookup o.amount = :a; ")
-        assert self.every_engine(rx, sql, {"a": 100.0, "n": "aspirin"}).rows == [
+        assert both_paths(rx, sql, {"a": 100.0, "n": "aspirin"}).rows == [
             (10,), (15,)
         ]
-        assert self.every_engine(rx, sql, {"a": 200.0, "n": "aspirin"}).rows == []
+        assert both_paths(rx, sql, {"a": 200.0, "n": "aspirin"}).rows == []
 
     def test_empty_probe(self, rx):
         sql = (
@@ -468,5 +456,5 @@ class TestSemiJoinReduction:
             "JOIN route r ON o.route_id = r.route_id "
             "WHERE d.name = :n AND r.label = :r ORDER BY o.amount DESC"
         )
-        assert self.every_engine(rx, sql, {"n": "nothing", "r": "oral"}).rows == []
-        assert self.every_engine(rx, sql, {"n": None, "r": "oral"}).rows == []
+        assert both_paths(rx, sql, {"n": "nothing", "r": "oral"}).rows == []
+        assert both_paths(rx, sql, {"n": None, "r": "oral"}).rows == []

@@ -6,7 +6,6 @@ import gc
 import threading
 import weakref
 
-import pytest
 
 from repro.kb.backend import EPOCH_STRIDE, wrap_database
 from repro.serving import AsyncConversationServer, ConversationApp
@@ -15,11 +14,7 @@ from tests.serving.conftest import build_toy_agent, http_json, http_text
 
 
 def memory_builder():
-    return wrap_database(make_toy_database(), "memory")
-
-
-def sqlite_builder():
-    return wrap_database(make_toy_database(), "sqlite")
+    return wrap_database(make_toy_database())
 
 
 class TestRefreshContract:
@@ -32,7 +27,6 @@ class TestRefreshContract:
         assert status == 200
         assert body["status"] == "ok"
         assert body["epoch"] == 1
-        assert body["backend"] == "memory"
         assert body["validation_errors"] == 0
         assert handle.epoch == 1
         assert handle.generation > generation_before
@@ -42,11 +36,10 @@ class TestRefreshContract:
         assert status == 200
         assert body["epoch"] == 2
 
-    @pytest.mark.parametrize("builder", [memory_builder, sqlite_builder])
-    def test_swapped_out_backend_is_freed_without_the_collector(self, builder):
+    def test_swapped_out_backend_is_freed_without_the_collector(self):
         # A refreshed-away snapshot must not be cyclic garbage: with the
         # cycle collector off, dropping the last reference frees it.
-        app = ConversationApp(build_toy_agent(), kb_builder=builder)
+        app = ConversationApp(build_toy_agent(), kb_builder=memory_builder)
         handle = app.agent.database
         assert app.handle("POST", "/refresh", {})[0] == 200
         gc.collect()
@@ -54,7 +47,7 @@ class TestRefreshContract:
         try:
             app.handle("POST", "/chat", {"utterance": "dosage for Aspirin"})
             old = weakref.ref(handle.backend)
-            inner = weakref.ref(getattr(handle.backend, "wrapped", handle.backend))
+            inner = weakref.ref(handle.backend.wrapped)
             assert app.handle("POST", "/refresh", {})[0] == 200
             app.handle("POST", "/chat", {"utterance": "dosage for Aspirin"})
             assert old() is None
@@ -73,17 +66,6 @@ class TestRefreshContract:
             "POST", "/chat", {"utterance": "dosage for Aspirin"}
         )
         assert after["text"] == before["text"]
-
-    def test_refresh_to_sqlite_backend(self):
-        app = ConversationApp(build_toy_agent(), kb_builder=sqlite_builder)
-        status, body = app.handle("POST", "/refresh", {})
-        assert status == 200
-        assert body["backend"] == "sqlite"
-        _, answer = app.handle(
-            "POST", "/chat", {"utterance": "dosage for Aspirin"}
-        )
-        assert answer["kind"] == "answer"
-        assert "10mg daily" in answer["text"]
 
     def test_without_builder_is_501(self):
         app = ConversationApp(build_toy_agent())
@@ -112,7 +94,7 @@ class TestRefreshContract:
             db = make_toy_database()
             broken = type(db)("toy")
             broken.create_table(db.table("drug").schema)
-            return wrap_database(broken, "memory")
+            return wrap_database(broken)
 
         app = ConversationApp(build_toy_agent(), kb_builder=invalid_builder)
         status, body = app.handle("POST", "/refresh", {})
@@ -129,13 +111,15 @@ class TestRefreshContract:
         app.handle("POST", "/refresh", {})
         _, text = app.handle("GET", "/metrics", {})
         assert "kb_refresh_total 1" in text
-        assert 'kb_backend_info{backend="memory"} 1.0' in text
+        # One engine: plan executions have one path.
+        assert 'plan_lowered_total{path="memory"}' in text
+        assert "kb_backend_info" not in text
+        assert 'path="sql"' not in text
         assert "kb_epoch 1.0" in text
         assert "kb_refresh_duration_seconds_count 1" in text
         assert "query_cache_stale_served_total 0" in text
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_refresh_drops_stale_cache_entries(self, backend):
+    def test_refresh_drops_stale_cache_entries(self):
         def changed_builder():
             # The next snapshot really differs: a second Aspirin dosage.
             db = make_toy_database()
@@ -143,7 +127,7 @@ class TestRefreshContract:
                 "d_id": 99, "drug_id": 1, "ind_id": 1,
                 "description": "75mg twice daily",
             })
-            return wrap_database(db, backend)
+            return wrap_database(db)
 
         app = ConversationApp(build_toy_agent(), kb_builder=changed_builder)
         ask = {"utterance": "dosage for Aspirin"}

@@ -437,7 +437,7 @@ class TestServeRouterCommand:
         args = build_parser().parse_args([
             "serve", "--workers", "2", "--data-dir", str(tmp_path),
             "--space", "space.json", "--data", "csv", "--name", "Bot",
-            "--domain", "drugs", "--kb-backend", "sqlite:kb.db",
+            "--domain", "drugs",
             "--session-ttl", "60", "--max-sessions", "10",
             "--cache-size", "32", "--turn-threads", "4",
             "--request-timeout", "5", "--fsync", "never",
@@ -455,5 +455,3 @@ class TestServeRouterCommand:
         )
         for name in self.FORWARDED:
             assert getattr(worker, name) == getattr(args, name), name
-        # Workers keep per-worker replicas: only the backend kind travels.
-        assert worker.kb_backend == "sqlite"

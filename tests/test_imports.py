@@ -40,7 +40,6 @@ SessionRouter._launch = lambda self, handle: 0.0
 SessionRouter._await_ready = lambda self, launched: []
 args = cli.build_parser().parse_args([
     "serve", "--workers", "2", "--data-dir", sys.argv[1], "--port", "0",
-    "--kb-backend", "memory",
 ])
 assert cli.cmd_serve(args, output_fn=lambda line: None, run_forever=False) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in %r)))
@@ -49,17 +48,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in %r)))
 
 #: Starts and drains a single ``repro serve`` through the CLI (which
 #: builds the MDX agent and imports the server), then prints the
-#: networkx modules the process loaded.
+#: networkx and sqlite3 modules the process loaded.
 _SERVING_PROCESS = """
 import sys
 from repro import cli
 
-args = cli.build_parser().parse_args([
-    "serve", "--port", "0", "--kb-backend", "memory",
-])
+args = cli.build_parser().parse_args(["serve", "--port", "0"])
 assert cli.cmd_serve(args, output_fn=lambda line: None, run_forever=False) == 0
 assert "repro.serving.server" in sys.modules
-print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
+print(sorted(
+    m for m in sys.modules if m.split(".")[0] in ("networkx", "sqlite3")
+))
 """
 
 
@@ -86,6 +85,8 @@ def test_importing_the_package_loads_no_model_libraries():
 
 
 def test_serving_process_loads_no_networkx():
+    # Nor sqlite3: a kb.db is a file format the CLI reads, not something
+    # a server imports.
     result = _run("-c", _SERVING_PROCESS)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
