@@ -74,6 +74,7 @@ from typing import Any
 
 import repro
 from repro.bootstrap import space_to_dict
+from repro.cli import MODEL_FILE
 from repro.engine import ConversationAgent
 from repro.kb.io import save_database
 from repro.medical import (
@@ -255,10 +256,12 @@ def build_agent() -> ConversationAgent:
 
 
 def export_artifacts(agent: ConversationAgent, out: Path) -> None:
-    """Space JSON + CSV KB, so drill workers rebuild the same agent."""
+    """Space JSON, its fitted intent model and the CSV KB, so drill
+    workers rebuild the same agent (loading the model, not training)."""
     (out / "space.json").write_text(
         json.dumps(space_to_dict(agent.space)), encoding="utf-8"
     )
+    agent.classifier.save(out / MODEL_FILE)
     save_database(agent.database, out / "kb")
 
 

@@ -108,7 +108,7 @@ def _check_near_duplicates(
     utterances = [e.utterance for e in examples]
     labels = [e.intent for e in examples]
     vectorizer = TfidfVectorizer(word_ngrams=(1, 2), char_ngrams=None)
-    matrix = vectorizer.fit_transform(utterances)
+    matrix = vectorizer.fit_transform(utterances).tocsr()
     similarities = (matrix @ matrix.T).tocoo()
 
     # One finding per unordered intent pair, carrying the worst example.

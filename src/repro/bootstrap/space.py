@@ -10,7 +10,9 @@ the intent classifier over them.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 from repro.bootstrap.entities import Entity, extract_entities
@@ -21,7 +23,7 @@ from repro.bootstrap.training import (
     augment_with_prior_queries,
     generate_training_examples,
 )
-from repro.errors import BootstrapError
+from repro.errors import BootstrapError, NLPError
 from repro.kb.database import Database
 from repro.nlp.classifier import IntentClassifier
 from repro.ontology.key_concepts import (
@@ -30,6 +32,8 @@ from repro.ontology.key_concepts import (
     identify_key_concepts,
 )
 from repro.ontology.model import Ontology
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -130,14 +134,23 @@ class ConversationSpace:
         return [e for e in self.training_examples if e.intent == intent_name]
 
     def train_classifier(
-        self, classifier: IntentClassifier | None = None
+        self,
+        classifier: IntentClassifier | None = None,
+        model_path: str | Path | None = None,
     ) -> IntentClassifier:
-        """Train an intent classifier on the space's training examples."""
+        """Train an intent classifier on the space's training examples, or
+        load it from the model file at ``model_path`` when that was fitted
+        on them with the same parameters; otherwise log why, and fit."""
         if not self.training_examples:
             raise BootstrapError("conversation space has no training examples")
         classifier = classifier or IntentClassifier()
         utterances = [e.utterance for e in self.training_examples]
         labels = [e.intent for e in self.training_examples]
+        if model_path is not None:
+            try:
+                return classifier.load(model_path, utterances, labels)
+            except NLPError as exc:
+                logger.warning("training the intent classifier: %s", exc)
         return classifier.fit(utterances, labels)
 
     # -- summary ---------------------------------------------------------------

@@ -13,8 +13,8 @@ Commands
     11 / Figure 12 reports.
 ``export``
     Build Conversational MDX and write its artifacts to a directory:
-    conversation space JSON, ontology as OWL, knowledge base as CSVs,
-    and the dialogue logic table.
+    conversation space JSON and its fitted intent model, ontology as
+    OWL, knowledge base as CSVs, and the dialogue logic table.
 ``serve``
     Run the concurrent JSON-over-HTTP conversation server
     (``POST /chat``, ``POST /feedback``, ``GET /healthz``,
@@ -82,6 +82,9 @@ if TYPE_CHECKING:
 # the commands that use them: the router process (``serve --workers N``)
 # only forwards bytes and never loads numpy, scipy or networkx.
 
+#: The intent model ``export`` writes, and ``--space`` loads, beside the space.
+MODEL_FILE = "intent_model.npz"
+
 
 def _load_database(args: argparse.Namespace):
     """The raw in-memory database the agent's backend is built from."""
@@ -109,7 +112,8 @@ def _build_agent(args: argparse.Namespace) -> ConversationAgent:
             database=database,
         )
         return ConversationAgent.build(
-            space, backend, agent_name=args.name, domain=args.domain
+            space, backend, agent_name=args.name, domain=args.domain,
+            model_path=Path(args.space).with_name(MODEL_FILE),
         )
     return build_mdx_agent(database, backend=backend)
 
@@ -227,7 +231,7 @@ def cmd_simulate(args: argparse.Namespace, output_fn=print) -> int:
 
 
 def cmd_export(args: argparse.Namespace, output_fn=print) -> int:
-    """Write the MDX artifacts (space JSON, OWL, CSV KB, logic table)."""
+    """Write the MDX artifacts (space JSON + model, OWL, CSV KB, logic table)."""
     from repro.bootstrap import space_to_dict
     from repro.kb.io import save_database, save_sqlite
     from repro.medical import build_mdx_agent, build_mdx_database, build_mdx_space
@@ -242,6 +246,7 @@ def cmd_export(args: argparse.Namespace, output_fn=print) -> int:
     (out / "conversation_space.json").write_text(
         json.dumps(space_to_dict(space), indent=2), encoding="utf-8"
     )
+    agent.classifier.save(out / MODEL_FILE)
     (out / "ontology.owl").write_text(
         ontology_to_owl(space.ontology), encoding="utf-8"
     )
@@ -254,7 +259,7 @@ def cmd_export(args: argparse.Namespace, output_fn=print) -> int:
         save_sqlite(database, out / "kb.db")
         extras = "  kb.db"
     output_fn(f"Artifacts written to {out}/")
-    output_fn("  conversation_space.json  ontology.owl  kb/  "
+    output_fn(f"  conversation_space.json  {MODEL_FILE}  ontology.owl  kb/  "
               f"dialogue_logic_table.txt{extras}")
     return 0
 

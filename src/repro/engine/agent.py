@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
+from pathlib import Path
 from typing import Callable
 
 from repro.bootstrap.space import ConversationSpace
@@ -160,13 +161,14 @@ class ConversationAgent:
         classifier: IntentClassifier | None = None,
         confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
         clock: Callable[[], float] = time.perf_counter,
+        model_path: str | Path | None = None,
     ) -> "ConversationAgent":
         """Assemble and train an agent from a bootstrapped space.
 
         Adds the built-in management intents and their training examples
-        to the space (when absent), trains the classifier, builds the
-        recognizer, generates the dialogue logic table + tree, and
-        pre-generates one structured query template per intent pattern.
+        to the space (when absent), trains the classifier (or loads it from
+        ``model_path``), builds the recognizer, generates the dialogue
+        logic table + tree, and pre-generates one structured query template per intent pattern.
         """
         for intent in default_management_intents():
             if not space.has_intent(intent.name):
@@ -176,7 +178,7 @@ class ConversationAgent:
             if (utterance.lower(), intent_name) not in existing:
                 space.add_training_examples(intent_name, [utterance])
 
-        trained = space.train_classifier(classifier)
+        trained = space.train_classifier(classifier, model_path)
         recognizer = EntityRecognizer(space.entities)
         logic_table = DialogueLogicTable.from_space(space)
         tree = build_dialogue_tree(

@@ -8,6 +8,8 @@ trained conversation agent.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.bootstrap.entities import Entity, EntityValue
 from repro.bootstrap.patterns import PatternKind, QueryPattern
 from repro.bootstrap.sme import SMEFeedback
@@ -30,6 +32,10 @@ from repro.ontology.inference import generate_ontology
 
 #: The key concepts validated by SMEs for MDX.
 MDX_KEY_CONCEPTS = ["Drug", "Indication"]
+
+#: The fitted MDX intent model :func:`build_mdx_agent` loads instead of
+#: training; ``python -m repro.medical`` regenerates it.
+MDX_INTENT_MODEL = Path(__file__).with_name("mdx_intent_model.npz")
 
 
 def build_mdx_database(config: GeneratorConfig | None = None) -> Database:
@@ -317,9 +323,12 @@ def build_mdx_agent(
     space: ConversationSpace | None = None,
     use_paper_intent_names: bool = True,
     backend: KBBackend | None = None,
+    model_path: Path | None = MDX_INTENT_MODEL,
 ) -> ConversationAgent:
     """Build the full Conversational MDX agent; it answers through
-    ``backend`` (default: ``database``, which the space is built from)."""
+    ``backend`` (default: ``database``, which the space is built from),
+    with the classifier loaded from ``model_path`` if it was fitted on
+    this space (``None``: always train)."""
     database = database or build_mdx_database()
     if space is None:
         space = build_mdx_space(database)
@@ -331,4 +340,5 @@ def build_mdx_agent(
         glossary=mdx_glossary(),
         agent_name="Micromedex",
         domain="drug reference",
+        model_path=model_path,
     )

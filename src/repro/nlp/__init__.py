@@ -2,12 +2,12 @@
 
 The paper delegates natural-language understanding to Watson Assistant's
 intent classifier.  This package provides the same contract, built from
-scratch on NumPy/SciPy:
+scratch on NumPy (SciPy's sparse matrices only for training):
 
 * :mod:`repro.nlp.tokenizer` — normalization, tokenization, light stemming,
 * :mod:`repro.nlp.vectorizer` — TF-IDF over word and character n-grams,
 * :mod:`repro.nlp.classifier` — multinomial logistic regression returning
-  (intent, confidence),
+  (intent, confidence), saved to and loaded from one ``.npz`` model file,
 * :mod:`repro.nlp.metrics` — per-class precision/recall/F1 (Table 5),
 * :mod:`repro.nlp.similarity` — edit-distance utilities used by the fuzzy
   entity recognizer,

@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
+from repro.atomic import atomic_write
 from repro.errors import NLPError, NotFittedError
 from repro.nlp.vectorizer import TfidfVectorizer
+
+#: Part of every model file's key digest: bump it when the layout, or what
+#: ``fit`` computes from the same inputs, changes, so old files retrain.
+MODEL_FORMAT = 1
+
+#: The arrays a model file holds, in the order its content digest reads them.
+_MODEL_ARRAYS = ("vocabulary", "idf", "weights", "bias", "classes")
+
+
+def _content_digest(arrays: dict[str, np.ndarray]) -> str:
+    digest = hashlib.sha256()
+    for name in _MODEL_ARRAYS:
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
@@ -28,7 +48,8 @@ _L2_BLOCK_ROWS = 1024
 class SoftmaxClassifier:
     """Multinomial logistic regression trained by full-batch gradient descent.
 
-    Works directly on SciPy sparse matrices.  Uses L2 regularization and a
+    Trains on a SciPy sparse matrix (``fit`` imports scipy) and scores
+    CSR-shaped rows with numpy alone.  Uses L2 regularization and a
     simple momentum update; deterministic given the inputs.
 
     Parameters
@@ -58,14 +79,16 @@ class SoftmaxClassifier:
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
 
-    def fit(self, features: sparse.csr_matrix, labels: Sequence[str]) -> "SoftmaxClassifier":
-        """Train on sparse ``features`` with string ``labels``."""
+    def fit(self, features, labels: Sequence[str]) -> "SoftmaxClassifier":
+        """Train on sparse ``features`` (a ``csr_matrix`` or
+        :class:`~repro.nlp.vectorizer.Rows`) with string ``labels``."""
         if features.shape[0] != len(labels):
             raise NLPError(
                 f"feature rows ({features.shape[0]}) != labels ({len(labels)})"
             )
         if features.shape[0] == 0:
             raise NLPError("cannot fit on an empty training set")
+        features = features.tocsr()
         classes = sorted(set(labels))
         class_index = {c: i for i, c in enumerate(classes)}
         y = np.array([class_index[label] for label in labels], dtype=np.int64)
@@ -114,13 +137,25 @@ class SoftmaxClassifier:
         self.bias_ = bias
         return self
 
-    def predict_proba(self, features: sparse.csr_matrix) -> np.ndarray:
-        """Class probabilities, shape (n_samples, n_classes)."""
+    def predict_proba(self, features) -> np.ndarray:
+        """Class probabilities, shape (n_samples, n_classes), of CSR-shaped
+        ``features`` (:class:`~repro.nlp.vectorizer.Rows` or a ``csr_matrix``).
+
+        Each row adds its weighted weight rows in stored order, as the
+        sparse product ``X @ W`` does, so the result is bit-identical.
+        """
         if self.weights_ is None or self.bias_ is None or self.classes_ is None:
             raise NotFittedError("SoftmaxClassifier is not fitted")
-        return _softmax_in_place(features @ self.weights_ + self.bias_)
+        weights = self.weights_
+        indptr, indices, data = features.indptr, features.indices, features.data
+        logits = np.empty((features.shape[0], weights.shape[1]))
+        for row in range(features.shape[0]):
+            span = slice(indptr[row], indptr[row + 1])
+            logits[row] = (data[span, None] * weights[indices[span]]).sum(axis=0)
+        logits += self.bias_
+        return _softmax_in_place(logits)
 
-    def predict(self, features: sparse.csr_matrix) -> list[str]:
+    def predict(self, features) -> list[str]:
         """Most likely class per sample."""
         probs = self.predict_proba(features)
         assert self.classes_ is not None
@@ -169,7 +204,9 @@ class IntentClassifier:
     ) -> None:
         self.vectorizer = vectorizer or TfidfVectorizer()
         self.model = model or SoftmaxClassifier()
-        self._fitted = False
+        #: :meth:`model_key` of the examples this was fitted on; ``None``
+        #: until fitted or loaded.
+        self._key: str | None = None
 
     def fit(self, utterances: Sequence[str], intents: Sequence[str]) -> "IntentClassifier":
         """Train on parallel lists of example utterances and intent labels."""
@@ -177,13 +214,68 @@ class IntentClassifier:
             raise NLPError("utterances and intents must have equal length")
         features = self.vectorizer.fit_transform(utterances)
         self.model.fit(features, intents)
-        self._fitted = True
+        self._key = self.model_key(utterances, intents)
+        return self
+
+    def model_key(self, utterances: Sequence[str], intents: Sequence[str]) -> str:
+        """The key digest of a model fitted on these examples with this
+        classifier's vectorizer and model parameters."""
+        vectorizer, model = self.vectorizer, self.model
+        inputs = [
+            MODEL_FORMAT, list(zip(utterances, intents)),
+            vectorizer.word_ngrams, vectorizer.char_ngrams, vectorizer.min_df,
+            sorted(vectorizer.tokenizer.stopwords), vectorizer.tokenizer.use_stemming,
+            model.learning_rate, model.epochs, model.l2, model.momentum,
+        ]
+        return hashlib.sha256(json.dumps(inputs).encode()).hexdigest()
+
+    def save(self, path: str | Path) -> None:
+        """Write the fitted model to ``path`` as one ``.npz``, keyed by
+        the examples it was fitted on."""
+        vocabulary = self.vectorizer.vocabulary_
+        if self._key is None or vocabulary is None:
+            raise NotFittedError("IntentClassifier is not fitted")
+        features = sorted(vocabulary, key=vocabulary.__getitem__)
+        arrays = dict(
+            vocabulary=np.array(features, dtype=str), idf=self.vectorizer.idf_,
+            weights=self.model.weights_, bias=self.model.bias_,
+            classes=np.array(self.model.classes_, dtype=str),
+        )
+        if arrays["vocabulary"].tolist() != features:
+            raise NLPError("a feature does not survive a numpy string array")
+        buffer = io.BytesIO()
+        np.savez(buffer, key=np.array(self._key),
+                 content=np.array(_content_digest(arrays)), **arrays)
+        atomic_write(path, buffer.getvalue())
+
+    def load(
+        self, path: str | Path, utterances: Sequence[str], intents: Sequence[str]
+    ) -> "IntentClassifier":
+        """Take the model fitted on these examples from the file
+        :meth:`save` wrote; raise :class:`NLPError` saying why the file is
+        unreadable, keyed otherwise, or fails its content digest."""
+        try:
+            with np.load(path, allow_pickle=False) as stored:
+                key, content = str(stored["key"]), str(stored["content"])
+                arrays = {name: stored[name] for name in _MODEL_ARRAYS}
+        except Exception as exc:  # any unreadable file means: retrain
+            raise NLPError(f"cannot read {path}: {exc!r}") from exc
+        if key != self.model_key(utterances, intents):
+            raise NLPError(f"{path} was fitted on other examples or parameters")
+        if content != _content_digest(arrays):
+            raise NLPError(f"{path} does not match its content digest")
+        vocabulary = {f: i for i, f in enumerate(arrays["vocabulary"].tolist())}
+        self.vectorizer.set_vocabulary(vocabulary, arrays["idf"])
+        self.model.classes_ = arrays["classes"].tolist()
+        self.model.weights_ = arrays["weights"]
+        self.model.bias_ = arrays["bias"]
+        self._key = key
         return self
 
     @property
     def intents(self) -> list[str]:
         """The intent labels this classifier can produce."""
-        if not self._fitted or self.model.classes_ is None:
+        if self._key is None or self.model.classes_ is None:
             raise NotFittedError("IntentClassifier is not fitted")
         return list(self.model.classes_)
 
@@ -192,8 +284,8 @@ class IntentClassifier:
         return self.classify_batch([utterance])[0]
 
     def classify_batch(self, utterances: Sequence[str]) -> list[IntentPrediction]:
-        """Classify many utterances at once (single matrix multiply)."""
-        if not self._fitted:
+        """Classify many utterances at once (one vectorize, one scoring call)."""
+        if self._key is None:
             raise NotFittedError("IntentClassifier is not fitted")
         features = self.vectorizer.transform(utterances)
         probs = self.model.predict_proba(features)
@@ -212,7 +304,7 @@ class IntentClassifier:
         ``distribution`` is an :attr:`IntentPrediction.distribution` from
         :meth:`classify`; ranking it scores nothing again.
         """
-        if not self._fitted:
+        if self._key is None:
             raise NotFittedError("IntentClassifier is not fitted")
         assert self.model.classes_ is not None
         order = np.argsort(distribution)[::-1][:k]

@@ -4,17 +4,33 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import NotFittedError
 from repro.nlp.tokenizer import Tokenizer, normalize, word_ngrams
 
 
+class Rows(NamedTuple):
+    """Feature rows in CSR layout, as plain numpy arrays: scoring them
+    needs no ``scipy.sparse`` (only :meth:`tocsr`, for training, does)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def tocsr(self):
+        """These rows as a ``scipy.sparse.csr_matrix``."""
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                 shape=self.shape)
+
+
 class TfidfVectorizer:
-    """TF-IDF vectorizer producing L2-normalized sparse feature matrices.
+    """TF-IDF vectorizer producing L2-normalized sparse feature rows.
 
     Features combine word n-grams (robust to unseen orderings) and
     character n-grams (robust to misspellings such as "presciptions"),
@@ -85,7 +101,7 @@ class TfidfVectorizer:
         self._fit_counts([self._features(doc) for doc in documents])
         return self
 
-    def fit_transform(self, documents: Sequence[str]) -> sparse.csr_matrix:
+    def fit_transform(self, documents: Sequence[str]) -> Rows:
         """Fit on ``documents`` and return their feature matrix.
 
         Equal to ``fit(documents).transform(documents)``, extracting each
@@ -110,17 +126,21 @@ class TfidfVectorizer:
         for feature, index in vocabulary.items():
             # Smoothed IDF, as in standard TF-IDF practice.
             idf[index] = math.log((1 + n_docs) / (1 + doc_freq[feature])) + 1.0
+        self.set_vocabulary(vocabulary, idf)
+
+    def set_vocabulary(self, vocabulary: dict[str, int], idf: np.ndarray) -> None:
+        """Install a vocabulary (feature -> column) and its IDF weights."""
         self.vocabulary_ = vocabulary
         self.idf_ = idf
         self._idf_values = idf.tolist()
 
-    def transform(self, documents: Iterable[str]) -> sparse.csr_matrix:
+    def transform(self, documents: Iterable[str]) -> Rows:
         """Vectorize ``documents`` using the fitted vocabulary."""
         if self.vocabulary_ is None or self.idf_ is None:
             raise NotFittedError("TfidfVectorizer.transform called before fit")
         return self._vectorize(self._features(doc) for doc in documents)
 
-    def _vectorize(self, all_features: Iterable[Counter]) -> sparse.csr_matrix:
+    def _vectorize(self, all_features: Iterable[Counter]) -> Rows:
         assert self.vocabulary_ is not None and self.idf_ is not None
         vocabulary = self.vocabulary_
         # Plain floats: a numpy scalar lookup per feature costs more than
@@ -151,10 +171,8 @@ class TfidfVectorizer:
                 indices.extend(ordered)
                 data.extend([row[idx] / norm for idx in ordered])
             indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (np.asarray(data), np.asarray(indices, dtype=np.int64), indptr),
-            shape=(n_seen, len(vocabulary)),
-        )
+        return Rows(np.asarray(indptr), np.asarray(indices, dtype=np.int64),
+                    np.asarray(data, dtype=np.float64), (n_seen, len(vocabulary)))
 
     def known_word_fraction(self, text: str) -> float:
         """Fraction of word tokens with a known unigram feature.

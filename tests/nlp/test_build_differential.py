@@ -85,7 +85,7 @@ class TestSoftmaxFitDifferential:
     def test_toy_space_bit_identical(self, toy_space):
         utterances = [e.utterance for e in toy_space.training_examples]
         labels = [e.intent for e in toy_space.training_examples]
-        features = TfidfVectorizer().fit_transform(utterances)
+        features = TfidfVectorizer().fit_transform(utterances).tocsr()
         _assert_fit_matches_reference(SoftmaxClassifier(), features, labels)
 
     def test_mdx_space_bit_identical(self, mdx_agent):
@@ -93,7 +93,7 @@ class TestSoftmaxFitDifferential:
         # several row blocks, the last one short.
         utterances = [e.utterance for e in mdx_agent.space.training_examples]
         labels = [e.intent for e in mdx_agent.space.training_examples]
-        features = TfidfVectorizer().fit_transform(utterances)
+        features = TfidfVectorizer().fit_transform(utterances).tocsr()
         assert features.shape[1] > 2 * classifier_module._L2_BLOCK_ROWS
         assert features.shape[1] % classifier_module._L2_BLOCK_ROWS
         _assert_fit_matches_reference(SoftmaxClassifier(), features, labels)

@@ -21,7 +21,7 @@ class TestFitTransform:
         assert matrix.shape == (len(DOCS), vec.n_features)
 
     def test_rows_l2_normalized(self):
-        matrix = TfidfVectorizer().fit_transform(DOCS)
+        matrix = TfidfVectorizer().fit_transform(DOCS).tocsr()
         norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
         assert np.allclose(norms[norms > 0], 1.0)
 
@@ -44,7 +44,7 @@ class TestFitTransform:
         vec = TfidfVectorizer()
         vec.fit(DOCS)
         matrix = vec.transform([""])
-        assert matrix.nnz == 0
+        assert matrix.tocsr().nnz == 0
 
     def test_deterministic_vocabulary(self):
         v1 = TfidfVectorizer().fit(DOCS).vocabulary_
@@ -83,7 +83,7 @@ class TestOptions:
         the correct spelling."""
         vec = TfidfVectorizer()
         vec.fit(["precautions for aspirin"])
-        good = vec.transform(["precautions for aspirin"])
-        typo = vec.transform(["precautions for asprin"])
+        good = vec.transform(["precautions for aspirin"]).tocsr()
+        typo = vec.transform(["precautions for asprin"]).tocsr()
         similarity = (good @ typo.T).toarray()[0, 0]
         assert similarity > 0.5

@@ -3,8 +3,10 @@
 The router process only forwards bytes, so its import path must not
 load the model's libraries; the package ``__init__`` files re-export
 lazily to make that so.  The serving processes that hold the model
-(the single server and the router's workers) load numpy and scipy but
-not networkx, which only the offline ``pagerank``/``betweenness``
+(the single server and the router's workers) load numpy alone: they
+load the shipped intent model instead of fitting it, and score without
+``scipy.sparse``, which only ``SoftmaxClassifier.fit`` imports.  Nor do
+they load networkx, which only the offline ``pagerank``/``betweenness``
 centralities use.
 """
 
@@ -46,18 +48,31 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in %r)))
 """ % (HEAVY,)
 
 
-#: Starts and drains a single ``repro serve`` through the CLI (which
-#: builds the MDX agent and imports the server), then prints the
-#: networkx and sqlite3 modules the process loaded.
+#: Starts and drains ``repro serve`` with the arguments after ``--``
+#: through the CLI (which builds the MDX agent and imports the server),
+#: answers one turn with the agent it built, then prints the networkx,
+#: scipy and sqlite3 modules the process loaded.  Any call to
+#: ``SoftmaxClassifier.fit`` fails the process.
 _SERVING_PROCESS = """
 import sys
 from repro import cli
+from repro.nlp.classifier import SoftmaxClassifier
 
-args = cli.build_parser().parse_args(["serve", "--port", "0"])
+def fit(*args, **kwargs):
+    raise AssertionError("a serving process called SoftmaxClassifier.fit")
+
+SoftmaxClassifier.fit = fit
+agents = []
+build_agent = cli._build_agent
+cli._build_agent = lambda args: agents.append(build_agent(args)) or agents[-1]
+args = cli.build_parser().parse_args(sys.argv[sys.argv.index("--") + 1:])
 assert cli.cmd_serve(args, output_fn=lambda line: None, run_forever=False) == 0
 assert "repro.serving.server" in sys.modules
+[agent] = agents
+assert agent.session().ask("dosage for Tazarotene").intent
 print(sorted(
-    m for m in sys.modules if m.split(".")[0] in ("networkx", "sqlite3")
+    m for m in sys.modules
+    if m.split(".")[0] in ("networkx", "scipy", "sqlite3")
 ))
 """
 
@@ -85,9 +100,17 @@ def test_importing_the_package_loads_no_model_libraries():
 
 
 def test_serving_process_loads_no_networkx():
-    # Nor sqlite3: a kb.db is a file format the CLI reads, not something
-    # a server imports.
-    result = _run("-c", _SERVING_PROCESS)
+    # Nor scipy, nor sqlite3: a kb.db is a file format the CLI reads,
+    # not something a server imports.
+    result = _run("-c", _SERVING_PROCESS, "--", "serve", "--port", "0")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_router_worker_loads_no_scipy_and_never_fits(tmp_path):
+    result = _run("-c", _SERVING_PROCESS, "--", "serve", "--port", "0",
+                  "--workers", "2", "--worker-index", "0",
+                  "--data-dir", str(tmp_path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
 
