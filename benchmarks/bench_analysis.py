@@ -124,8 +124,8 @@ def test_analysis_cost_trajectory(full_space, report):
     assert sorted({d.code for d in race_findings}) == ["R002", "R003"]
     assert len(race_findings) == 13
     # Every shipped purity finding is a reviewed replay-transparent
-    # P003 (ephemeral per-statement objects, generation-invalidated
-    # memos, observability counters) carried in .repro-baseline.
+    # P003 (ephemeral per-statement objects, memos of a KB that cannot
+    # change, observability counters) carried in .repro-baseline.
     assert sorted({d.code for d in purity_findings}) == ["P003"]
     assert len(purity_findings) == 10
     assert audit_seconds < AUDIT_BUDGET_SECONDS

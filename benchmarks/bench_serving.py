@@ -351,7 +351,7 @@ def run_refresh_drill(
     request during the swaps answers 200 with the correct text, the
     epoch advances once per refresh, and
     ``query_cache_stale_served_total`` stays 0 — a cached answer from
-    the old generation is dropped on revalidation, never served.
+    the old epoch is dropped on its next lookup, never served.
     """
     agent = agent_factory()
 

@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.analysis.baseline import Baseline, render_baseline
+from repro.analysis.baseline import Baseline, BaselineError, render_baseline
 from repro.analysis.diagnostics import (
     Diagnostic,
     DiagnosticCollector,
@@ -43,9 +43,16 @@ if TYPE_CHECKING:
 
 
 def _load_baseline(args: argparse.Namespace) -> Baseline:
-    if getattr(args, "baseline", None):
-        return Baseline.load(args.baseline)
-    return Baseline.discover()
+    """``--baseline PATH``, else ``.repro-baseline`` if present.
+
+    An unreadable or malformed file ends the command with one error
+    line (``SystemExit``), before any analysis runs.
+    """
+    path = getattr(args, "baseline", None)
+    try:
+        return Baseline.load(path) if path else Baseline.discover()
+    except (OSError, UnicodeDecodeError, BaselineError) as exc:
+        raise SystemExit(f"--baseline: {exc}") from exc
 
 
 def _report(
@@ -90,18 +97,17 @@ def _report(
 def _select_kb(args: argparse.Namespace, database):
     """The KB to validate: ``--kb PATH`` (a ``kb.db``) or the built one.
 
-    The file is read by :func:`repro.kb.io.load_sqlite` and frozen into
-    a snapshot, so the check sees what a server loading it would serve.
+    The file is read by :func:`repro.kb.io.load_sqlite` and frozen, so
+    the check sees what a server loading it would serve.
     """
     path = getattr(args, "kb", None)
     if not path:
         return database
     from repro.errors import KBError
-    from repro.kb.backend import KBSnapshot
     from repro.kb.io import load_sqlite
 
     try:
-        return KBSnapshot(load_sqlite(path))
+        return load_sqlite(path).freeze()
     except KBError as exc:
         raise SystemExit(f"--kb: {exc}") from exc
 
@@ -176,13 +182,13 @@ def _space_diagnostics(
 
 def cmd_check(args: argparse.Namespace, output_fn=print) -> int:
     """Validate the conversation space without executing a query."""
+    baseline = _load_baseline(args)
     started = time.perf_counter()
     space, database = _build_space(args)
     deep = getattr(args, "deep", False)
     diagnostics, _ = _space_diagnostics(
         space, database, args, check=True, audit=deep
     )
-    baseline = _load_baseline(args)
     elapsed = time.perf_counter() - started
     header = (
         f"repro check{' --deep' if deep else ''}: "
@@ -232,6 +238,7 @@ def _lint_targets(args: argparse.Namespace) -> list[str]:
 
 def cmd_lint(args: argparse.Namespace, output_fn=print) -> int:
     """Run the concurrency/purity lint over the codebase."""
+    baseline = _load_baseline(args)
     paths = _lint_targets(args)
     deep = getattr(args, "deep", False)
     diagnostics = lint_model(build_model(paths), deep=deep)
@@ -239,7 +246,6 @@ def cmd_lint(args: argparse.Namespace, output_fn=print) -> int:
         f"repro lint{' --deep' if deep else ''}: "
         f"{', '.join(str(p) for p in paths)}"
     )
-    baseline = _load_baseline(args)
     prefixes = ("L", "R", "D", "P", "X") if deep else ("L",)
     return _report(
         diagnostics, baseline, args, output_fn, header,
@@ -249,6 +255,7 @@ def cmd_lint(args: argparse.Namespace, output_fn=print) -> int:
 
 def cmd_race(args: argparse.Namespace, output_fn=print) -> int:
     """Run the whole-program concurrency & crash-consistency analyzer."""
+    baseline = _load_baseline(args)
     started = time.perf_counter()
     paths = _lint_targets(args)
     model = build_model(paths)
@@ -265,7 +272,7 @@ def cmd_race(args: argparse.Namespace, output_fn=print) -> int:
         f"lock-order edges analyzed in {elapsed:.2f}s"
     )
     return _report(
-        diagnostics, baseline=_load_baseline(args), args=args,
+        diagnostics, baseline=baseline, args=args,
         output_fn=output_fn, header=header, code_prefixes=("R", "D"),
         roots=paths,
     )
@@ -273,6 +280,7 @@ def cmd_race(args: argparse.Namespace, output_fn=print) -> int:
 
 def cmd_purity(args: argparse.Namespace, output_fn=print) -> int:
     """Run the replay-determinism & exception-flow analyzer."""
+    baseline = _load_baseline(args)
     started = time.perf_counter()
     paths = _lint_targets(args)
     model = build_model(paths)
@@ -287,7 +295,7 @@ def cmd_purity(args: argparse.Namespace, output_fn=print) -> int:
         f"{elapsed:.2f}s"
     )
     return _report(
-        diagnostics, baseline=_load_baseline(args), args=args,
+        diagnostics, baseline=baseline, args=args,
         output_fn=output_fn, header=header, code_prefixes=("P", "X"),
         roots=paths,
     )
@@ -295,12 +303,12 @@ def cmd_purity(args: argparse.Namespace, output_fn=print) -> int:
 
 def cmd_audit(args: argparse.Namespace, output_fn=print) -> int:
     """Run the semantic audit: SQL type/dataflow + conversation ambiguity."""
+    baseline = _load_baseline(args)
     started = time.perf_counter()
     space, database = _build_space(args)
     diagnostics, template_count = _space_diagnostics(
         space, database, args, check=False, audit=True
     )
-    baseline = _load_baseline(args)
     elapsed = time.perf_counter() - started
     header = (
         f"repro audit: {template_count} templates, "
@@ -328,7 +336,7 @@ def _all_diagnostics(args: argparse.Namespace) -> list[Diagnostic]:
 def cmd_baseline(args: argparse.Namespace, output_fn=print) -> int:
     """Show baseline status, or regenerate the file with ``--update``."""
     explicit = getattr(args, "baseline", None)
-    if explicit and not Path(explicit).is_file():
+    if args.update and explicit and not Path(explicit).exists():
         # A fresh --update target: start from an empty baseline.
         baseline = Baseline(path=Path(explicit))
     else:
@@ -352,7 +360,10 @@ def cmd_baseline(args: argparse.Namespace, output_fn=print) -> int:
         baseline.path or Path(".repro-baseline")
     )
     text = render_baseline(diagnostics, previous=baseline)
-    target.write_text(text, encoding="utf-8")
+    try:
+        target.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"--baseline: {exc}") from exc
     output_fn(
         f"repro baseline: wrote {target} suppressing "
         f"{len(diagnostics)} finding(s)"

@@ -8,7 +8,6 @@ import cycle.
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 __all__ = ["atomic_write"]
@@ -21,11 +20,15 @@ def atomic_write(path: str | Path, data: bytes) -> None:
     flushed, fsynced and renamed over ``path``; the directory is then
     fsynced so the rename itself is durable.  A failure before the
     rename removes the temp file and leaves ``path`` untouched.
+
+    The file gets the mode ``open(path, "wb")`` would give it (0o666
+    less the umask): the temp file is created with that mode rather
+    than ``mkstemp``'s 0600, so the kernel applies the umask itself.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    tmp_name = str(path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp_name, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

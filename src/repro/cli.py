@@ -87,7 +87,7 @@ MODEL_FILE = "intent_model.npz"
 
 
 def _load_database(args: argparse.Namespace):
-    """The raw in-memory database the agent's backend is built from."""
+    """The in-memory database the agent serves (its handle freezes it)."""
     from repro.kb.io import load_database
     from repro.medical import build_mdx_database
 
@@ -101,32 +101,28 @@ def _load_database(args: argparse.Namespace):
 def _build_agent(args: argparse.Namespace) -> ConversationAgent:
     from repro.bootstrap import space_from_dict
     from repro.engine import ConversationAgent
-    from repro.kb.backend import wrap_database
     from repro.medical import build_mdx_agent
 
     database = _load_database(args)
-    backend = wrap_database(database)
     if args.space:
         space = space_from_dict(
             json.loads(Path(args.space).read_text(encoding="utf-8")),
             database=database,
         )
         return ConversationAgent.build(
-            space, backend, agent_name=args.name, domain=args.domain,
+            space, database, agent_name=args.name, domain=args.domain,
             model_path=Path(args.space).with_name(MODEL_FILE),
         )
-    return build_mdx_agent(database, backend=backend)
+    return build_mdx_agent(database)
 
 
 def _kb_builder(args: argparse.Namespace) -> Callable[[], object]:
-    """The zero-argument snapshot builder ``POST /refresh`` invokes.
+    """The zero-argument KB builder ``POST /refresh`` invokes.
 
     Re-runs the same KB load the server booted with (CSV directory or
-    the synthetic MDX build) and freezes it into a snapshot.
+    the synthetic MDX build); the handle freezes what it swaps in.
     """
-    from repro.kb.backend import wrap_database
-
-    return lambda: wrap_database(_load_database(args))
+    return lambda: _load_database(args)
 
 
 def cmd_chat(

@@ -45,7 +45,8 @@ from repro.engine.stages import (
     default_stages,
 )
 from repro.errors import EngineError, KBError, NLQError, TemplateError
-from repro.kb.backend import KBBackend, KBHandle
+from repro.kb.backend import KBHandle
+from repro.kb.database import Database
 from repro.nlp.classifier import IntentClassifier
 from repro.nlq.templates import StructuredQueryTemplate, templates_for_intent
 
@@ -115,7 +116,7 @@ class ConversationAgent:
     def __init__(
         self,
         space: ConversationSpace,
-        database: "KBBackend",
+        database: "Database | KBHandle",
         classifier: IntentClassifier,
         recognizer: EntityRecognizer,
         tree: DialogueTree,
@@ -127,8 +128,9 @@ class ConversationAgent:
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.space = space
-        # Every KB access goes through a copy-on-write handle so a live
-        # refresh can atomically swap the backend under running turns.
+        # Every KB access goes through a copy-on-write handle, which
+        # freezes the database, so a live refresh can atomically swap
+        # in the next one under running turns.
         self.database = (
             database if isinstance(database, KBHandle) else KBHandle(database)
         )
@@ -154,7 +156,7 @@ class ConversationAgent:
     def build(
         cls,
         space: ConversationSpace,
-        database: "KBBackend",
+        database: "Database | KBHandle",
         glossary: dict[str, str] | None = None,
         agent_name: str = "Assistant",
         domain: str = "knowledge base",

@@ -12,19 +12,20 @@ structured (SQL) query template against it.  We provide the equivalent:
   bootstrapping process (categorical-attribute detection),
 * :mod:`repro.kb.sql` — a SQL subset (lexer, parser, executor) sufficient
   for the paper's SELECT/JOIN/WHERE query templates,
-* :mod:`repro.kb.backend` — the :class:`KBBackend` protocol every layer
-  above the KB speaks, plus the copy-on-write :class:`KBHandle` that
-  swaps generation-tagged snapshots under live traffic,
+* :mod:`repro.kb.backend` — the copy-on-write :class:`KBHandle` that
+  serves one frozen :class:`Database` and swaps in the next one under
+  live traffic, bumping its ``epoch``,
 * :mod:`repro.kb.io` — the KB's file formats: a CSV directory and a
   plain SQLite ``kb.db``.
+
+A served KB cannot change.  The handle freezes the database it serves
+(:meth:`Database.freeze`): from then on ``create_table``, ``insert``,
+``insert_many`` and ``Table.insert`` raise :class:`~repro.errors.KBError`.
+A refresh builds a new database and swaps it in; it never edits the old
+one.
 """
 
-from repro.kb.backend import (
-    KBBackend,
-    KBHandle,
-    KBSnapshot,
-    wrap_database,
-)
+from repro.kb.backend import KBHandle, wrap_database
 from repro.kb.database import Database
 from repro.kb.schema import Column, ForeignKey, TableSchema
 from repro.kb.statistics import ColumnStatistics, TableStatistics
@@ -38,9 +39,7 @@ __all__ = [
     "DataType",
     "Database",
     "ForeignKey",
-    "KBBackend",
     "KBHandle",
-    "KBSnapshot",
     "ResultSet",
     "Table",
     "TableSchema",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.errors import IntegrityError, SchemaError, UnknownTableError
+from repro.errors import IntegrityError, KBError, SchemaError, UnknownTableError
 from repro.kb.schema import ForeignKey, TableSchema
 from repro.kb.statistics import TableStatistics, compute_table_statistics
 from repro.kb.table import Table
@@ -20,21 +20,43 @@ class Database:
     ontology-generation step consumes, and executes SQL through compiled
     plans (:meth:`prepare`).
 
-    It is also the one implementation of the
-    :class:`~repro.kb.backend.KBBackend` protocol; snapshots and the
-    swap handle delegate to it.
+    A database is built, then :meth:`freeze` makes it read-only for
+    good; the :class:`~repro.kb.backend.KBHandle` that serves it freezes
+    it on the way in.
     """
 
     def __init__(self, name: str = "kb") -> None:
         self.name = name
         self._tables: dict[str, Table] = {}
-        self._schema_generation = 0
+        self._frozen = False
         self._plan_cache = PlanCache()
+
+    # -- freezing -------------------------------------------------------------
+
+    def freeze(self) -> "Database":
+        """Make this database and its tables read-only; returns it.
+
+        Afterwards :meth:`create_table`, :meth:`insert`,
+        :meth:`insert_many` and :meth:`Table.insert
+        <repro.kb.table.Table.insert>` raise ``KBError``, so a cached
+        plan or result can never go stale under it.
+        """
+        self._frozen = True
+        for table in self._tables.values():
+            table._frozen = True
+        return self
+
+    def _check_writable(self, operation: str) -> None:
+        if self._frozen:
+            raise KBError(
+                f"KB {self.name!r} is frozen: {operation} is not allowed"
+            )
 
     # -- catalog ------------------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> Table:
         """Create a table from ``schema`` and register it."""
+        self._check_writable("create_table")
         key = schema.name.lower()
         if key in self._tables:
             raise SchemaError(f"table {schema.name!r} already exists")
@@ -42,7 +64,6 @@ class Database:
             self._validate_foreign_key(schema, fk)
         table = Table(schema)
         self._tables[key] = table
-        self._schema_generation += 1
         # Cached plans resolved names against the old catalog.
         self._plan_cache.clear()
         return table
@@ -101,6 +122,7 @@ class Database:
         self, table_name: str, values: dict[str, Any] | Iterable[Any]
     ) -> tuple[Any, ...]:
         """Insert one row, enforcing foreign keys against referenced tables."""
+        self._check_writable("insert")
         table = self.table(table_name)
         row = table._build_row(values)
         for fk in table.schema.foreign_keys:
@@ -121,32 +143,12 @@ class Database:
         self, table_name: str, rows: Iterable[dict[str, Any] | Iterable[Any]]
     ) -> int:
         """Insert many rows; returns the number inserted."""
+        self._check_writable("insert_many")
         count = 0
         for row in rows:
             self.insert(table_name, row)
             count += 1
         return count
-
-    # -- generations ---------------------------------------------------------
-
-    @property
-    def schema_generation(self) -> int:
-        """Bumps whenever the catalog changes (new tables)."""
-        return self._schema_generation
-
-    @property
-    def generation(self) -> int:
-        """Monotonic counter covering schema *and* data mutations.
-
-        Computed as the schema generation plus the sum of every table's
-        mutation counter, so it moves even when rows are inserted
-        directly through a :class:`~repro.kb.table.Table` handle rather
-        than :meth:`insert`.  Serving-layer caches key their entries on
-        this value to guarantee stale answers are impossible.
-        """
-        return self._schema_generation + sum(
-            table.generation for table in self._tables.values()
-        )
 
     # -- queries -----------------------------------------------------------------
 
@@ -175,10 +177,6 @@ class Database:
     def plan_stats(self) -> dict[str, int]:
         """Plan-cache observability: plans, hits, misses, executions, probes."""
         return self._plan_cache.stats()
-
-    def execution_paths(self) -> dict[str, int]:
-        """Executions by physical path; the in-memory engine has one path."""
-        return {"memory": self.plan_stats()["executions"]}
 
     # -- statistics ----------------------------------------------------------------
 

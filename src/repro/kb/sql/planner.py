@@ -33,8 +33,8 @@ JOIN is safe because any extra padded rows it creates are dropped when
 the full WHERE is evaluated.
 
 :class:`PlanCache` memoizes compiled plans per SQL text behind a lock so
-many serving threads can share one cache; entries are invalidated when
-the database schema generation moves.
+many serving threads can share one cache; ``create_table`` clears it,
+and a served (frozen) database has no ``create_table``.
 """
 
 from __future__ import annotations
@@ -231,7 +231,6 @@ class CompiledPlan:
         self.select = select
         self.sql = sql
         self.use_indexes = use_indexes
-        self.schema_generation = getattr(database, "schema_generation", 0)
         self.executions = 0
         self.index_probes = 0
         self._compile(database)
@@ -605,11 +604,10 @@ def compile_plan(
 class PlanCache:
     """A thread-safe LRU cache of compiled plans, keyed by SQL text.
 
-    Entries are invalidated when the owning database's schema generation
-    moves (new tables change what a SQL text can resolve to).  Data
-    mutations do *not* invalidate plans: plans read rows and secondary
-    indexes live at execution time, and the tables themselves rebuild
-    stale indexes.
+    The owning database clears it in ``create_table`` (new tables change
+    what a SQL text can resolve to).  Data mutations do *not* invalidate
+    plans: plans read rows and secondary indexes live at execution time,
+    and the tables themselves rebuild stale indexes.
     """
 
     def __init__(self, max_plans: int = 256) -> None:
@@ -639,10 +637,9 @@ class PlanCache:
         from repro.kb.sql.parser import parse
 
         key = (sql, use_indexes)
-        schema_generation = getattr(database, "schema_generation", 0)
         with self._lock:
             plan = self._plans.get(key)
-            if plan is not None and plan.schema_generation == schema_generation:
+            if plan is not None:
                 self.hits += 1
                 self._plans.move_to_end(key)
                 return plan

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import IntegrityError
+from repro.errors import IntegrityError, KBError
 from repro.kb.schema import TableSchema
 from repro.kb.types import coerce_value, normalize_key
 
@@ -20,9 +20,9 @@ class Table:
 
     Secondary hash indexes (:meth:`secondary_index`) are built lazily the
     first time the query planner asks for one, and invalidated wholesale
-    on any mutation; :attr:`generation` counts mutations so callers (the
-    plan cache, the serving query cache) can detect staleness without
-    subscribing to change events.
+    on any mutation.  Once the owning database is frozen
+    (:meth:`~repro.kb.database.Database.freeze`), :meth:`insert` raises
+    ``KBError``.
     """
 
     def __init__(
@@ -43,7 +43,7 @@ class Table:
             if schema.primary_key is not None
             else None
         )
-        self._generation = 0
+        self._frozen = False
         # column position -> {normalized value -> ascending row positions}
         self._indexes: dict[int, dict[Any, list[int]]] = {}
         self._index_builds = 0
@@ -67,11 +67,6 @@ class Table:
         """The stored rows (do not mutate)."""
         return self._rows
 
-    @property
-    def generation(self) -> int:
-        """Monotonic mutation counter; bumps on every insert."""
-        return self._generation
-
     # -- mutation -------------------------------------------------------------
 
     def insert(self, values: dict[str, Any] | Iterable[Any]) -> tuple[Any, ...]:
@@ -82,6 +77,8 @@ class Table:
         violations.  Foreign keys are validated by the owning
         :class:`~repro.kb.database.Database`, which can see other tables.
         """
+        if self._frozen:
+            raise KBError(f"table {self.name!r} is frozen: insert is not allowed")
         row = self._build_row(values)
         if self._pk_index is not None:
             key = row[self._pk_pos]
@@ -95,7 +92,6 @@ class Table:
                 )
             self._pk_index[key] = len(self._rows)
         self._rows.append(row)
-        self._generation += 1
         if self._indexes:
             # Lazily rebuilt on next use; clearing keeps mutation O(1).
             self._indexes.clear()

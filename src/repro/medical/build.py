@@ -16,7 +16,6 @@ from repro.bootstrap.sme import SMEFeedback
 from repro.nlq.templates import StructuredQueryTemplate
 from repro.bootstrap.space import ConversationSpace, bootstrap_conversation_space
 from repro.engine.agent import ConversationAgent
-from repro.kb.backend import KBBackend
 from repro.kb.database import Database
 from repro.medical.generator import GeneratorConfig, populate_mdx
 from repro.medical.knowledge import (
@@ -322,13 +321,11 @@ def build_mdx_agent(
     database: Database | None = None,
     space: ConversationSpace | None = None,
     use_paper_intent_names: bool = True,
-    backend: KBBackend | None = None,
     model_path: Path | None = MDX_INTENT_MODEL,
 ) -> ConversationAgent:
-    """Build the full Conversational MDX agent; it answers through
-    ``backend`` (default: ``database``, which the space is built from),
-    with the classifier loaded from ``model_path`` if it was fitted on
-    this space (``None``: always train)."""
+    """Build the full Conversational MDX agent over ``database`` (which
+    its handle freezes), with the classifier loaded from ``model_path``
+    if it was fitted on this space (``None``: always train)."""
     database = database or build_mdx_database()
     if space is None:
         space = build_mdx_space(database)
@@ -336,7 +333,7 @@ def build_mdx_agent(
         rename_to_paper_intents(space)
     return ConversationAgent.build(
         space,
-        database if backend is None else backend,
+        database,
         glossary=mdx_glossary(),
         agent_name="Micromedex",
         domain="drug reference",

@@ -4,10 +4,10 @@ The deployed system (§7) is judged on interactive latency under real
 clinician traffic, so the serving layer keeps its own operational
 telemetry — per-intent turn latency, classifier latency, query-cache
 hit rate, session churn, plus the query-execution gauges the app wires
-up (plan-cache hits/misses, secondary-index builds, the KB generation
-counter) — and renders it in a Prometheus-style text format at
-``GET /metrics``.  Everything here is stdlib-only and safe to update
-from many request threads at once.
+up (plan-cache hits/misses, secondary-index builds, the KB epoch) —
+and renders it in a Prometheus-style text format at ``GET /metrics``.
+Everything here is stdlib-only and safe to update from many request
+threads at once.
 """
 
 from __future__ import annotations

@@ -1,22 +1,19 @@
-"""Generation-tagged query-result cache in front of the KB.
+"""Epoch-tagged query-result cache in front of the KB.
 
 The dominant MDX pattern class is the direct lookup (§4.3), and under
 real traffic the same (template, bindings) pair recurs constantly —
 every clinician asking "dosage for aspirin" instantiates the identical
 SQL with identical parameters.  :class:`QueryCache` memoizes executed
 result sets keyed on the SQL text plus the bound parameters, and
-:class:`CachingDatabase` is a drop-in proxy for a
-:class:`~repro.kb.backend.KBBackend` whose ``query`` — the one cached
+:class:`CachingDatabase` is a proxy for a
+:class:`~repro.kb.backend.KBHandle` whose ``query`` — the one cached
 entry point — consults the cache.
 
-Coherence has one mechanism: every entry is tagged with the database
-:attr:`~repro.kb.backend.KBBackend.generation` and a lookup under any
-other generation drops it (counted in ``stale_drops``).  Everything
-that changes an answer moves the generation: a ``POST /refresh`` swap
-(the :class:`~repro.kb.backend.KBHandle` scales generations by epoch)
-and a direct mutation of an unfrozen ``Database``, even one through a
-raw :class:`~repro.kb.table.Table` handle, so the tag alone keeps
-answers current.
+Coherence has one mechanism.  A served KB cannot change (the handle
+freezes it), so the only thing that changes an answer is a
+``POST /refresh`` swap, and every swap bumps the handle's ``epoch``.
+Every entry is tagged with the epoch it was stored under, and a lookup
+under any other epoch drops it (counted in ``stale_drops``).
 
 Cached :class:`~repro.kb.sql.result.ResultSet` objects are shared
 between threads and must be treated as immutable by callers (the agent
@@ -29,7 +26,7 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
-from repro.kb.backend import KBBackend
+from repro.kb.backend import KBHandle
 from repro.kb.sql.result import ResultSet
 
 CacheKey = tuple[str, tuple[tuple[str, Any], ...]]
@@ -42,11 +39,10 @@ def make_key(sql: str, params: dict[str, Any] | None) -> CacheKey:
 
 
 class QueryCache:
-    """A thread-safe LRU of generation-tagged results with hit/miss counters.
+    """A thread-safe LRU of epoch-tagged results with hit/miss counters.
 
-    Entries remember the ``generation`` they were stored under; a lookup
-    presenting a different generation treats the entry as stale and
-    drops it.
+    Entries remember the ``epoch`` they were stored under; a lookup
+    presenting a different epoch treats the entry as stale and drops it.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -61,8 +57,8 @@ class QueryCache:
         self.misses = 0
         self.evictions = 0
         # Refresh observability: entries dropped because their stored
-        # generation no longer matches (the KB was swapped/mutated), and
-        # hits served despite a generation mismatch.  The latter is zero
+        # epoch no longer matches (the KB was swapped), and hits served
+        # despite an epoch mismatch.  The latter is zero
         # by construction — the lookup below drops instead of serving —
         # and is exported to /metrics so a refresh drill can assert it.
         self.stale_drops = 0
@@ -76,17 +72,17 @@ class QueryCache:
         self,
         sql: str,
         params: dict[str, Any] | None,
-        generation: int | None = None,
+        epoch: int | None = None,
     ) -> ResultSet | None:
-        """Return the cached result, or None on miss/stale generation."""
+        """Return the cached result, or None on miss/stale epoch."""
         key = make_key(sql, params)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            stored_generation, result = entry
-            if stored_generation != generation:
+            stored_epoch, result = entry
+            if stored_epoch != epoch:
                 del self._entries[key]
                 self.stale_drops += 1
                 self.misses += 1
@@ -100,11 +96,11 @@ class QueryCache:
         sql: str,
         params: dict[str, Any] | None,
         result: ResultSet,
-        generation: int | None = None,
+        epoch: int | None = None,
     ) -> None:
         key = make_key(sql, params)
         with self._lock:
-            self._entries[key] = (generation, result)
+            self._entries[key] = (epoch, result)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -129,36 +125,35 @@ class QueryCache:
 
 
 class CachingDatabase:
-    """A :class:`KBBackend` proxy that serves ``query`` through a cache.
+    """A :class:`~repro.kb.backend.KBHandle` proxy that serves ``query``
+    through a cache.
 
     ``query`` is the only cached entry point.  Everything else —
-    ``prepare``, catalog reads, and the writes of an unfrozen
-    ``Database`` — is delegated untouched, so the proxy can stand
-    wherever a backend is expected.  Writes need no hook: they move the
-    generation, and the next lookup drops what they made stale.
+    ``prepare``, ``epoch``, catalog reads — is delegated untouched, so
+    the proxy can stand wherever the handle is expected.
     """
 
-    def __init__(self, database: KBBackend, cache: QueryCache | None = None) -> None:
-        self._database = database
+    def __init__(self, handle: KBHandle, cache: QueryCache | None = None) -> None:
+        self._handle = handle
         self.cache = cache if cache is not None else QueryCache()
 
     @property
-    def wrapped(self) -> KBBackend:
-        return self._database
+    def wrapped(self) -> KBHandle:
+        return self._handle
 
     def query(self, sql: str, params: dict[str, Any] | None = None) -> ResultSet:
-        # The generation is read before query() resolves the backend.
-        # Generations only move forward, so a cached result is never
-        # older than its tag: a refresh or write landing mid-query can
-        # store new rows under the old tag (dropped by the next lookup),
-        # never old rows under the new one.
-        generation = self._database.generation
-        cached = self.cache.lookup(sql, params, generation=generation)
+        # The epoch is read before query() resolves the database.  Epochs
+        # only move forward, so a cached result is never older than its
+        # tag: a refresh landing mid-query can store new rows under the
+        # old tag (dropped by the next lookup), never old rows under the
+        # new one.
+        epoch = self._handle.epoch
+        cached = self.cache.lookup(sql, params, epoch=epoch)
         if cached is not None:
             return cached
-        result = self._database.query(sql, params)
-        self.cache.store(sql, params, result, generation=generation)
+        result = self._handle.query(sql, params)
+        self.cache.store(sql, params, result, epoch=epoch)
         return result
 
     def __getattr__(self, name: str) -> Any:
-        return getattr(self._database, name)
+        return getattr(self._handle, name)

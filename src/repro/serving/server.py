@@ -191,7 +191,7 @@ class ConversationApp:
     ) -> None:
         self.agent = agent
         self.metrics = MetricsRegistry()
-        #: Zero-argument callable producing the *next* KB backend for
+        #: Zero-argument callable producing the *next* KB database for
         #: ``POST /refresh`` (typically a rebuild of the bootstrap
         #: pipeline).  Refresh is a 501 when no builder is wired.
         self._kb_builder = kb_builder
@@ -286,9 +286,6 @@ class ConversationApp:
                 for t in self._original_database.tables()
             ),
         )
-        self.metrics.gauge(
-            "kb_generation", lambda: self._original_database.generation
-        )
         # KB refresh observability.  kb_refresh_total and the duration
         # histogram are registered now so they render as 0 before the
         # first refresh; plan_lowered_total counts the active snapshot's
@@ -304,7 +301,7 @@ class ConversationApp:
         self.metrics.gauge(
             "plan_lowered_total",
             lambda: float(
-                self._original_database.execution_paths()["memory"]
+                self._original_database.plan_stats()["executions"]
             ),
             label=("path", "memory"),
         )
@@ -757,13 +754,12 @@ class ConversationApp:
         Runs on the calling thread (a front-end I/O executor thread, not
         the event loop, so serving continues on the old snapshot
         throughout the build).
-        The new backend is validated with the ``repro check`` space
+        The new database is validated with the ``repro check`` space
         checker before the swap; a snapshot that fails validation is
         discarded and the live KB is untouched.  The swap itself is one
-        atomic handle update — in-flight turns keep the backend object
-        they already resolved, new turns observe the new one, and the
-        epoch-scaled generation makes every cached plan/result from the
-        old snapshot unservable.
+        atomic handle update — in-flight turns keep the database they
+        already resolved, new turns observe the new one, and the bumped
+        epoch makes every cached result from the old one unservable.
         """
         handle = self._original_database
         if self._kb_builder is None:
@@ -781,7 +777,7 @@ class ConversationApp:
         start = time.perf_counter()
         try:
             try:
-                backend = self._kb_builder()
+                database = self._kb_builder()
             except Exception as exc:
                 raise ServingError(
                     500, "refresh_build_failed", f"KB build failed: {exc}"
@@ -791,7 +787,7 @@ class ConversationApp:
             from repro.analysis.diagnostics import error_count
             from repro.analysis.space_checker import check_space
 
-            diagnostics = check_space(self.agent.space, backend)
+            diagnostics = check_space(self.agent.space, database)
             errors = error_count(diagnostics)
             if errors:
                 raise ServingError(
@@ -800,15 +796,14 @@ class ConversationApp:
                     f"new KB snapshot failed validation with {errors} "
                     "error(s); keeping the current snapshot",
                 )
-            epoch = handle.swap(backend)
+            epoch = handle.swap(database)
             duration = time.perf_counter() - start
             self.metrics.counter("kb_refresh_total").inc()
             self._refresh_duration.observe(duration)
             return {
                 "status": "ok",
                 "epoch": epoch,
-                "generation": handle.generation,
-                "tables": len(backend.table_names()),
+                "tables": len(database.table_names()),
                 "duration_seconds": round(duration, 6),
                 "validation_errors": 0,
             }

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.baseline import Baseline, BaselineError
+from repro.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
 
 
@@ -92,3 +100,49 @@ class TestLoading:
         )
         baseline = Baseline.discover(tmp_path)
         assert len(baseline.entries) == 1
+
+
+class TestBadBaselineOption:
+    """``--baseline`` naming an unreadable or malformed file ends every
+    analysis command with one error line, before any analysis runs."""
+
+    COMMANDS = ["check", "lint", "race", "purity", "audit", "baseline"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_file_exits_with_one_line(self, command, tmp_path):
+        missing = tmp_path / "nonexistent"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--baseline", str(missing)])
+        message = str(excinfo.value.code)
+        assert message.startswith("--baseline: ")
+        assert str(missing) in message
+        assert "\n" not in message
+
+    def test_malformed_file_exits_with_one_line(self, tmp_path):
+        path = tmp_path / "base.txt"
+        path.write_text("L003\n", encoding="utf-8")
+        with pytest.raises(SystemExit, match="--baseline: baseline line 1"):
+            main(["check", "--baseline", str(path)])
+
+    def test_unwritable_update_target_exits_with_one_line(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.analysis.runner as runner
+
+        monkeypatch.setattr(runner, "_all_diagnostics", lambda args: [])
+        target = tmp_path / "no-such-dir" / "baseline"
+        with pytest.raises(SystemExit, match="--baseline: .*no-such-dir"):
+            main(["baseline", "--update", "--baseline", str(target)])
+
+    def test_no_traceback_from_the_command_line(self):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "check",
+             "--baseline", "/nonexistent"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert result.stderr.strip().count("\n") == 0
+        assert result.stderr.startswith("--baseline: ")

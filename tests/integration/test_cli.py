@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -46,6 +48,25 @@ class TestExportAndChatRoundTrip:
         assert any(
             i["name"] == "Drugs That Treat Condition" for i in space["intents"]
         )
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_exported_files_get_the_umask_mode(self, tmp_path, umask):
+        # Every artifact gets the mode ``open(path, "w")`` would give it,
+        # the fitted model too (it is written atomically): a server run
+        # as another user can read what ``export`` wrote.
+        out = tmp_path / "artifacts"
+        args = build_parser().parse_args(["export", "--sqlite", "--out", str(out)])
+        previous = os.umask(umask)
+        try:
+            assert cmd_export(args, output_fn=lambda _line: None) == 0
+        finally:
+            os.umask(previous)
+        modes = {
+            str(path.relative_to(out)): stat.S_IMODE(path.stat().st_mode)
+            for path in out.rglob("*") if path.is_file()
+        }
+        assert "intent_model.npz" in modes and "kb.db" in modes
+        assert modes == {name: 0o666 & ~umask for name in modes}
 
     def test_chat_from_exported_artifacts(self, tmp_path):
         out = tmp_path / "artifacts"

@@ -82,9 +82,7 @@ class TestSecondaryIndex:
     def test_mutation_invalidates_index(self, db):
         table = db.table("drug")
         table.secondary_index("name")
-        generation = table.generation
         db.insert("drug", {"drug_id": 4, "name": "Lisinopril"})
-        assert table.generation == generation + 1
         assert table.index_stats()["indexes"] == 0
         result = both_paths(
             db, "SELECT drug_id FROM drug WHERE name = 'Lisinopril'"
@@ -322,19 +320,7 @@ class TestPlanCache:
         assert plan.index_probes == 2
 
 
-class TestGenerations:
-    def test_database_generation_covers_direct_table_writes(self, db):
-        before = db.generation
-        # Bypass Database.insert entirely: a raw table handle write must
-        # still move the database generation.
-        db.table("drug").insert({"drug_id": 8, "name": "Enalapril"})
-        assert db.generation > before
-
-    def test_schema_generation_moves_on_create(self, db):
-        before = db.schema_generation
-        db.create_table(TableSchema("x", [Column("a", DataType.INTEGER)]))
-        assert db.schema_generation == before + 1
-
+class TestCopy:
     def test_deepcopy_database(self, db):
         db.prepare("SELECT name FROM drug")
         clone = copy.deepcopy(db)

@@ -21,7 +21,7 @@ from repro.errors import (
     UnknownColumnError,
     UnknownTableError,
 )
-from repro.kb import Column, Database, DataType, KBSnapshot, TableSchema
+from repro.kb import Column, Database, DataType, TableSchema
 from repro.kb.io import database_manifest, load_sqlite, save_sqlite
 from repro.medical import build_mdx_database
 from tests.conftest import make_toy_database
@@ -224,7 +224,7 @@ class TestErrorParity:
 
     @pytest.fixture(scope="class")
     def both(self, toy_db, toy_loaded):
-        return toy_db, KBSnapshot(toy_loaded)
+        return toy_db, toy_loaded.freeze()
 
     def test_unknown_table_at_prepare(self, both):
         for backend in both:
@@ -310,11 +310,13 @@ class TestWriteErrors:
 
 class TestReadOnly:
     def test_mutators_raise(self, tmp_path):
-        # ``check --kb`` serves a loaded file as a snapshot.
-        snapshot = KBSnapshot(round_trip(make_toy_database(), tmp_path))
-        with pytest.raises(KBError, match="immutable"):
-            snapshot.insert("drug", {"drug_id": 99, "name": "X"})
-        with pytest.raises(KBError, match="immutable"):
-            snapshot.insert_many("drug", [])
-        with pytest.raises(KBError, match="immutable"):
-            snapshot.create_table(None)
+        # ``check --kb`` checks a loaded file frozen, as a server serves it.
+        loaded = round_trip(make_toy_database(), tmp_path).freeze()
+        with pytest.raises(KBError, match="frozen"):
+            loaded.insert("drug", {"drug_id": 99, "name": "X"})
+        with pytest.raises(KBError, match="frozen"):
+            loaded.insert_many("drug", [])
+        with pytest.raises(KBError, match="frozen"):
+            loaded.create_table(None)
+        with pytest.raises(KBError, match="frozen"):
+            loaded.table("drug").insert({"drug_id": 99, "name": "X"})

@@ -6,38 +6,41 @@ import gc
 import threading
 import weakref
 
+import pytest
 
-from repro.kb.backend import EPOCH_STRIDE, wrap_database
+from repro.errors import KBError
 from repro.serving import AsyncConversationServer, ConversationApp
 from tests.conftest import make_toy_database
 from tests.serving.conftest import build_toy_agent, http_json, http_text
 
-
-def memory_builder():
-    return wrap_database(make_toy_database())
+# The handle freezes what a refresh swaps in, so a builder returns the
+# database it builds.
+memory_builder = make_toy_database
 
 
 class TestRefreshContract:
     def test_refresh_swaps_epoch_and_generation(self):
         app = ConversationApp(build_toy_agent(), kb_builder=memory_builder)
         handle = app.agent.database
-        generation_before = handle.generation
+        assert handle.epoch == 0
 
         status, body = app.handle("POST", "/refresh", {})
         assert status == 200
         assert body["status"] == "ok"
         assert body["epoch"] == 1
         assert body["validation_errors"] == 0
+        # The epoch numbers KB generations; nothing else repeats it.
+        assert "generation" not in body
         assert handle.epoch == 1
-        assert handle.generation > generation_before
-        assert handle.generation >= EPOCH_STRIDE
+        with pytest.raises(KBError, match="frozen"):
+            handle.backend.insert("drug", {"drug_id": 99, "name": "X"})
 
         status, body = app.handle("POST", "/refresh", {})
         assert status == 200
         assert body["epoch"] == 2
 
     def test_swapped_out_backend_is_freed_without_the_collector(self):
-        # A refreshed-away snapshot must not be cyclic garbage: with the
+        # A refreshed-away database must not be cyclic garbage: with the
         # cycle collector off, dropping the last reference frees it.
         app = ConversationApp(build_toy_agent(), kb_builder=memory_builder)
         handle = app.agent.database
@@ -47,7 +50,7 @@ class TestRefreshContract:
         try:
             app.handle("POST", "/chat", {"utterance": "dosage for Aspirin"})
             old = weakref.ref(handle.backend)
-            inner = weakref.ref(handle.backend.wrapped)
+            inner = weakref.ref(handle.backend.table("drug"))
             assert app.handle("POST", "/refresh", {})[0] == 200
             app.handle("POST", "/chat", {"utterance": "dosage for Aspirin"})
             assert old() is None
@@ -94,7 +97,7 @@ class TestRefreshContract:
             db = make_toy_database()
             broken = type(db)("toy")
             broken.create_table(db.table("drug").schema)
-            return wrap_database(broken)
+            return broken
 
         app = ConversationApp(build_toy_agent(), kb_builder=invalid_builder)
         status, body = app.handle("POST", "/refresh", {})
@@ -127,7 +130,7 @@ class TestRefreshContract:
                 "d_id": 99, "drug_id": 1, "ind_id": 1,
                 "description": "75mg twice daily",
             })
-            return wrap_database(db)
+            return db
 
         app = ConversationApp(build_toy_agent(), kb_builder=changed_builder)
         ask = {"utterance": "dosage for Aspirin"}
@@ -140,7 +143,7 @@ class TestRefreshContract:
         _, after = app.handle("POST", "/chat", ask)
         assert "10mg daily" in after["text"]
         assert "75mg twice daily" in after["text"]
-        # Whatever was cached against the old generation must have been
+        # Whatever was cached against the old epoch must have been
         # dropped on revalidation, never served.
         assert app.cache.stale_drops >= 1
         assert app.cache.stale_served == 0
