@@ -73,10 +73,8 @@ from pathlib import Path
 from typing import Any
 
 import repro
-from repro.bootstrap import space_to_dict
-from repro.cli import MODEL_FILE
+from repro.artifacts import write_artifacts
 from repro.engine import ConversationAgent
-from repro.kb.io import save_database
 from repro.medical import (
     GeneratorConfig,
     build_mdx_database,
@@ -253,16 +251,6 @@ def build_agent() -> ConversationAgent:
     return ConversationAgent.build(
         space, db, agent_name="Micromedex", domain="drug reference"
     )
-
-
-def export_artifacts(agent: ConversationAgent, out: Path) -> None:
-    """Space JSON, its fitted intent model and the CSV KB, so drill
-    workers rebuild the same agent (loading the model, not training)."""
-    (out / "space.json").write_text(
-        json.dumps(space_to_dict(agent.space)), encoding="utf-8"
-    )
-    agent.classifier.save(out / MODEL_FILE)
-    save_database(agent.database, out / "kb")
 
 
 # -- load phase ---------------------------------------------------------------
@@ -606,10 +594,7 @@ def run_async_drill(
         port=0,
         health_interval=0.5,
         worker_args=[
-            "--space", str(artifacts / "space.json"),
-            "--data", str(artifacts / "kb"),
-            "--name", "Micromedex",
-            "--domain", "drug reference",
+            "--artifacts", str(artifacts),
             # Durable, group-fsync'd journals: the drill proves scale,
             # the SIGKILL drill (fsync=always) proves crash safety.
             "--fsync", "interval",
@@ -747,10 +732,7 @@ def run_recovery_drill(
         "PYTHONPATH", ""
     )
     worker_args = [
-        "--space", str(artifacts / "space.json"),
-        "--data", str(artifacts / "kb"),
-        "--name", "Micromedex",
-        "--domain", "drug reference",
+        "--artifacts", str(artifacts),
         "--fsync", "always",
         "--turn-threads", "8",
         "--max-sessions", str(max(sessions + 16, 64)),
@@ -972,9 +954,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers >= 2:
         with tempfile.TemporaryDirectory(prefix="repro-drill-") as tmp:
             tmp_path = Path(tmp)
-            artifacts = tmp_path / "artifacts"
-            artifacts.mkdir()
-            export_artifacts(agent, artifacts)
+            # Drill workers serve this agent's artifact directory
+            # (loading the model, not training).
+            artifacts = write_artifacts(tmp_path / "artifacts", agent)
             drugs = [
                 row[0] for row in
                 agent.database.query("SELECT name FROM drug").rows

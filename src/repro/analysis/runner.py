@@ -18,7 +18,6 @@ space: ``lint``, ``race`` and ``purity`` only parse source files.
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -94,38 +93,15 @@ def _report(
     return 1 if error_count(active, strict=args.strict) else 0
 
 
-def _select_kb(args: argparse.Namespace, database):
-    """The KB to validate: ``--kb PATH`` (a ``kb.db``) or the built one.
-
-    The file is read by :func:`repro.kb.io.load_sqlite` and frozen, so
-    the check sees what a server loading it would serve.
-    """
-    path = getattr(args, "kb", None)
-    if not path:
-        return database
-    from repro.errors import KBError
-    from repro.kb.io import load_sqlite
-
-    try:
-        return load_sqlite(path).freeze()
-    except KBError as exc:
-        raise SystemExit(f"--kb: {exc}") from exc
-
-
 def _build_space(args: argparse.Namespace):
-    """The space under check: exported artifacts, or the shipped MDX."""
-    if args.space:
-        if not args.data:
-            raise SystemExit("--space requires --data (the CSV KB directory)")
-        from repro.bootstrap import space_from_dict
-        from repro.kb.io import load_database
+    """The space under check and its KB: an ``--artifacts`` directory
+    (its KB loaded and frozen, as a server serves it), or the shipped
+    MDX built in-process."""
+    if args.artifacts:
+        from repro.artifacts import load_artifacts
 
-        database = load_database(args.data)
-        space = space_from_dict(
-            json.loads(Path(args.space).read_text(encoding="utf-8")),
-            database=database,
-        )
-        return space, _select_kb(args, database)
+        artifacts = load_artifacts(args.artifacts)
+        return artifacts.space, artifacts.database
     from repro.medical import build_mdx_database, build_mdx_space
     from repro.medical.build import rename_to_paper_intents
 
@@ -133,7 +109,7 @@ def _build_space(args: argparse.Namespace):
     space = build_mdx_space(database)
     # Mirror what `repro serve` ships: the paper's intent names.
     rename_to_paper_intents(space)
-    return space, _select_kb(args, database)
+    return space, database
 
 
 def _ambiguity_config(args: argparse.Namespace) -> AmbiguityConfig:

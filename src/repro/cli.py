@@ -3,31 +3,35 @@
 Commands
 --------
 ``chat``
-    Interactive session with Conversational MDX, or with an agent built
-    from an exported conversation space (``--space``) and a CSV knowledge
-    base (``--data``).
+    Interactive session with Conversational MDX, or with the agent an
+    ``export`` directory defines (``--artifacts DIR``).
 ``demo``
     Replay the paper's §6.3 sample conversations.
 ``simulate``
     Run the §7 evaluation: workload → success rates → Table 5 / Figure
     11 / Figure 12 reports.
 ``export``
-    Build Conversational MDX and write its artifacts to a directory:
-    conversation space JSON and its fitted intent model, ontology as
-    OWL, knowledge base as CSVs, and the dialogue logic table.
+    Build Conversational MDX and write its artifact directory: the
+    conversation space JSON, its fitted intent model, the knowledge base
+    as ``kb.db`` and the ``artifacts.json`` manifest of their digests
+    (see :mod:`repro.artifacts`), plus the ontology as OWL and the
+    dialogue logic table.  ``chat``, ``serve``, ``check``, ``audit`` and
+    ``baseline`` read such a directory with ``--artifacts DIR``.
 ``serve``
     Run the concurrent JSON-over-HTTP conversation server
     (``POST /chat``, ``POST /feedback``, ``GET /healthz``,
-    ``GET /metrics``) over Conversational MDX or a custom space/KB.
+    ``GET /metrics``) over Conversational MDX or an ``--artifacts``
+    directory.
     ``--data-dir`` makes sessions durable (journaled turns, atomic
     snapshots, crash recovery on boot); ``--workers N`` with N > 1 runs
     the session-affine router in front of N worker processes, each
     owning a slice of the data directory.
 ``refresh``
     Trigger a zero-downtime KB refresh on a running server: the server
-    rebuilds its KB snapshot off the request path, validates it, and
-    atomically swaps it in under live traffic (the router broadcasts the
-    refresh to every worker replica).
+    rebuilds its KB off the request path (or, with ``--artifacts``,
+    re-reads ``kb.db`` from the directory it was started from),
+    validates it, and atomically swaps it in under live traffic (the
+    router broadcasts the refresh to every worker replica).
 ``sessions``
     List or inspect the durable sessions in a ``serve --data-dir``
     directory (including per-worker slices) without starting a server;
@@ -78,51 +82,30 @@ from repro.atomic import atomic_write
 if TYPE_CHECKING:
     from repro.engine import ConversationAgent
 
-# The agent, KB, bootstrap, medical and analysis modules are imported by
-# the commands that use them: the router process (``serve --workers N``)
-# only forwards bytes and never loads numpy, scipy or networkx.
-
-#: The intent model ``export`` writes, and ``--space`` loads, beside the space.
-MODEL_FILE = "intent_model.npz"
+# The agent, KB, bootstrap, medical, artifact and analysis modules are
+# imported by the commands that use them: the router process (``serve
+# --workers N``) only forwards bytes and never loads numpy, scipy or
+# networkx.
 
 
-def _load_database(args: argparse.Namespace):
-    """The in-memory database the agent serves (its handle freezes it)."""
-    from repro.kb.io import load_database
-    from repro.medical import build_mdx_database
+def _build_agent(
+    args: argparse.Namespace,
+) -> tuple[ConversationAgent, Callable[[], object]]:
+    """The agent to talk through, and the KB builder ``POST /refresh`` invokes.
 
-    if args.space:
-        if not args.data:
-            raise SystemExit("--space requires --data (the CSV KB directory)")
-        return load_database(args.data)
-    return build_mdx_database()
-
-
-def _build_agent(args: argparse.Namespace) -> ConversationAgent:
-    from repro.bootstrap import space_from_dict
-    from repro.engine import ConversationAgent
-    from repro.medical import build_mdx_agent
-
-    database = _load_database(args)
-    if args.space:
-        space = space_from_dict(
-            json.loads(Path(args.space).read_text(encoding="utf-8")),
-            database=database,
-        )
-        return ConversationAgent.build(
-            space, database, agent_name=args.name, domain=args.domain,
-            model_path=Path(args.space).with_name(MODEL_FILE),
-        )
-    return build_mdx_agent(database)
-
-
-def _kb_builder(args: argparse.Namespace) -> Callable[[], object]:
-    """The zero-argument KB builder ``POST /refresh`` invokes.
-
-    Re-runs the same KB load the server booted with (CSV directory or
-    the synthetic MDX build); the handle freezes what it swaps in.
+    With ``--artifacts DIR``, the directory's agent, and a refresh that
+    re-reads the directory's ``kb.db``; otherwise Conversational MDX,
+    built in-process, and a refresh that rebuilds its KB.  The handle
+    freezes what a refresh swaps in.
     """
-    return lambda: _load_database(args)
+    if args.artifacts:
+        from repro.artifacts import load_artifacts
+
+        artifacts = load_artifacts(args.artifacts)
+        return artifacts.agent(), artifacts.next_database
+    from repro.medical import build_mdx_agent, build_mdx_database
+
+    return build_mdx_agent(), build_mdx_database
 
 
 def cmd_chat(
@@ -136,7 +119,7 @@ def cmd_chat(
     from repro.eval.success import success_rate
 
     output_fn("Building the conversation agent...")
-    agent = _build_agent(args)
+    agent, _ = _build_agent(args)
     session = agent.session()
     output_fn(f"A: {session.open()}")
     output_fn("(type 'quit' to exit; '+1'/'-1' for thumbs feedback)")
@@ -227,36 +210,29 @@ def cmd_simulate(args: argparse.Namespace, output_fn=print) -> int:
 
 
 def cmd_export(args: argparse.Namespace, output_fn=print) -> int:
-    """Write the MDX artifacts (space JSON + model, OWL, CSV KB, logic table)."""
-    from repro.bootstrap import space_to_dict
-    from repro.kb.io import save_database, save_sqlite
-    from repro.medical import build_mdx_agent, build_mdx_database, build_mdx_space
+    """Write the MDX artifact directory (:mod:`repro.artifacts`), plus
+    the ontology as OWL and the dialogue logic table."""
+    from repro.artifacts import write_artifacts
+    from repro.medical import build_mdx_agent
     from repro.ontology import ontology_to_owl
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    database = build_mdx_database()
-    space = build_mdx_space(database)
-    # Build once so the management intents and glossary are folded in.
-    agent = build_mdx_agent(database, space)
-    (out / "conversation_space.json").write_text(
-        json.dumps(space_to_dict(space), indent=2), encoding="utf-8"
+    # The built agent: the management intents and glossary are folded in.
+    agent = build_mdx_agent()
+    atomic_write(
+        out / "ontology.owl",
+        ontology_to_owl(agent.space.ontology).encode("utf-8"),
     )
-    agent.classifier.save(out / MODEL_FILE)
-    (out / "ontology.owl").write_text(
-        ontology_to_owl(space.ontology), encoding="utf-8"
+    atomic_write(
+        out / "dialogue_logic_table.txt",
+        agent.logic_table.render().encode("utf-8"),
     )
-    save_database(database, out / "kb")
-    (out / "dialogue_logic_table.txt").write_text(
-        agent.logic_table.render(), encoding="utf-8"
-    )
-    extras = ""
-    if getattr(args, "sqlite", False):
-        save_sqlite(database, out / "kb.db")
-        extras = "  kb.db"
+    # Last: its manifest marks the directory complete.
+    write_artifacts(out, agent)
     output_fn(f"Artifacts written to {out}/")
-    output_fn(f"  conversation_space.json  {MODEL_FILE}  ontology.owl  kb/  "
-              f"dialogue_logic_table.txt{extras}")
+    output_fn("  conversation_space.json  intent_model.npz  kb.db  "
+              "artifacts.json  ontology.owl  dialogue_logic_table.txt")
     return 0
 
 
@@ -319,8 +295,8 @@ def cmd_serve(
         return _serve_router(args, output_fn, run_forever)
 
     output_fn("Building the conversation agent...")
-    agent = _build_agent(args)
-    server = _make_server(args, agent, args.data_dir, kb_builder=_kb_builder(args))
+    agent, kb_builder = _build_agent(args)
+    server = _make_server(args, agent, args.data_dir, kb_builder=kb_builder)
     if not run_forever:
         server.start()
     output_fn(f"Serving on {server.address} (Ctrl-C to drain and stop)")
@@ -395,14 +371,14 @@ def _serve_worker(args: argparse.Namespace, output_fn, run_forever) -> int:
     directory = worker_dir(args.data_dir, index)
     directory.mkdir(parents=True, exist_ok=True)
     output_fn(f"[worker {index}] building the conversation agent...")
-    agent = _build_agent(args)
+    agent, kb_builder = _build_agent(args)
     server = _make_server(
         args,
         agent,
         directory,
         id_stride=max(args.workers, 1),
         id_offset=index,
-        kb_builder=_kb_builder(args),
+        kb_builder=kb_builder,
     )
     server.start()
     atomic_write(
@@ -436,13 +412,13 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
             "--workers > 1 requires --data-dir (the durable session root)"
         )
     worker_args = []
-    if args.space:
-        worker_args += ["--space", args.space]
-    if args.data:
-        worker_args += ["--data", args.data]
+    if args.artifacts:
+        from repro.artifacts import verify_artifacts
+
+        # One error line here, not N workers dying at start-up.
+        verify_artifacts(args.artifacts)
+        worker_args += ["--artifacts", args.artifacts]
     worker_args += [
-        "--name", args.name,
-        "--domain", args.domain,
         "--session-ttl", str(args.session_ttl),
         "--max-sessions", str(args.max_sessions),
         "--cache-size", str(args.cache_size),
@@ -583,10 +559,14 @@ def _add_audit_arguments(parser: argparse.ArgumentParser) -> None:
         help="A002 cross-intent near-duplicate cosine threshold "
         "(default: 0.9)",
     )
+    _add_artifacts_argument(parser)
+
+
+def _add_artifacts_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--kb", default=None, metavar="PATH",
-        help="validate against this SQLite KB file (a kb.db from "
-        "`repro export --sqlite`) instead of the built KB",
+        "--artifacts", default=None, metavar="DIR",
+        help="an artifact directory written by `repro export` "
+        "(default: build Conversational MDX in-process)",
     )
 
 
@@ -617,10 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     chat = sub.add_parser("chat", help="interactive conversation")
-    chat.add_argument("--space", help="exported conversation-space JSON")
-    chat.add_argument("--data", help="CSV knowledge-base directory")
-    chat.add_argument("--name", default="Assistant", help="agent name")
-    chat.add_argument("--domain", default="knowledge base", help="domain label")
+    _add_artifacts_argument(chat)
     chat.add_argument("--trace", action="store_true",
                       help="print the per-stage pipeline trace after each turn")
     chat.set_defaults(handler=cmd_chat)
@@ -635,16 +612,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export", help="write the MDX artifacts")
     export.add_argument("--out", default="mdx-artifacts")
-    export.add_argument("--sqlite", action="store_true",
-                        help="also write the KB as a SQLite file (kb.db), "
-                             "readable by check/audit --kb")
     export.set_defaults(handler=cmd_export)
 
     serve = sub.add_parser("serve", help="run the HTTP conversation server")
-    serve.add_argument("--space", help="exported conversation-space JSON")
-    serve.add_argument("--data", help="CSV knowledge-base directory")
-    serve.add_argument("--name", default="Assistant", help="agent name")
-    serve.add_argument("--domain", default="knowledge base", help="domain label")
+    _add_artifacts_argument(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (0 picks a free one)")
@@ -711,8 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="statically validate the conversation space"
     )
-    check.add_argument("--space", help="exported conversation-space JSON")
-    check.add_argument("--data", help="CSV knowledge-base directory")
     check.add_argument("--deep", action="store_true",
                        help="also run the semantic audit (T/A codes)")
     _add_analysis_arguments(check)
@@ -756,8 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         "audit",
         help="semantic audit: SQL type/dataflow (T) + NL ambiguity (A)",
     )
-    audit.add_argument("--space", help="exported conversation-space JSON")
-    audit.add_argument("--data", help="CSV knowledge-base directory")
     _add_analysis_arguments(audit)
     _add_audit_arguments(audit)
     audit.set_defaults(handler=_analysis("cmd_audit"))
@@ -767,8 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     baseline.add_argument("--update", action="store_true",
                           help="regenerate the baseline from current findings")
-    baseline.add_argument("--space", help="exported conversation-space JSON")
-    baseline.add_argument("--data", help="CSV knowledge-base directory")
     _add_analysis_arguments(baseline)
     _add_audit_arguments(baseline)
     baseline.set_defaults(handler=_analysis("cmd_baseline"))

@@ -169,8 +169,9 @@ class ConversationAgent:
 
         Adds the built-in management intents and their training examples
         to the space (when absent), trains the classifier (or loads it from
-        ``model_path``), builds the recognizer, generates the dialogue
-        logic table + tree, and pre-generates one structured query template per intent pattern.
+        ``model_path``; a fitted ``classifier`` is used as it is), builds
+        the recognizer, generates the dialogue logic table + tree, and
+        pre-generates one structured query template per intent pattern.
         """
         for intent in default_management_intents():
             if not space.has_intent(intent.name):
@@ -180,7 +181,8 @@ class ConversationAgent:
             if (utterance.lower(), intent_name) not in existing:
                 space.add_training_examples(intent_name, [utterance])
 
-        trained = space.train_classifier(classifier, model_path)
+        if classifier is None:
+            classifier = space.train_classifier(model_path=model_path)
         recognizer = EntityRecognizer(space.entities)
         logic_table = DialogueLogicTable.from_space(space)
         tree = build_dialogue_tree(
@@ -228,7 +230,7 @@ class ConversationAgent:
         return cls(
             space=space,
             database=database,
-            classifier=trained,
+            classifier=classifier,
             recognizer=recognizer,
             tree=tree,
             logic_table=logic_table,

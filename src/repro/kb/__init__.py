@@ -15,8 +15,7 @@ structured (SQL) query template against it.  We provide the equivalent:
 * :mod:`repro.kb.backend` — the copy-on-write :class:`KBHandle` that
   serves one frozen :class:`Database` and swaps in the next one under
   live traffic, bumping its ``epoch``,
-* :mod:`repro.kb.io` — the KB's file formats: a CSV directory and a
-  plain SQLite ``kb.db``.
+* :mod:`repro.kb.io` — the KB's file format, a plain SQLite ``kb.db``.
 
 A served KB cannot change.  The handle freezes the database it serves
 (:meth:`Database.freeze`): from then on ``create_table``, ``insert``,

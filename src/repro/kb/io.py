@@ -1,180 +1,21 @@
-"""The knowledge base's two file formats: a CSV directory and ``kb.db``.
+"""The knowledge base's file format: a plain SQLite file, ``kb.db``.
 
-A database round-trips through a directory of one CSV file per table
-plus a ``schema.json`` manifest (columns, types, keys, creation order).
-NULL is written as ``\\N`` (the Postgres COPY convention), so empty
-strings stay distinguishable.
-
-It also round-trips through a plain SQLite file (:func:`save_sqlite`,
-:func:`load_sqlite`): ordinary DDL with declared types and keys, rows in
+A database round-trips through :func:`save_sqlite` and
+:func:`load_sqlite`: ordinary DDL with declared types and keys, rows in
 write order.  SQLite is only the file format; every query still runs on
 the in-memory engine.
 """
 
 from __future__ import annotations
 
-import csv
-import json
+import tempfile
 from pathlib import Path
 
+from repro.atomic import atomic_write
 from repro.errors import KBError
 from repro.kb.database import Database
 from repro.kb.schema import Column, ForeignKey, TableSchema
 from repro.kb.types import DataType
-
-_NULL = "\\N"
-MANIFEST_NAME = "schema.json"
-
-
-def _encode(value) -> str:
-    if value is None:
-        return _NULL
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _decode(text: str, data_type: DataType):
-    if text == _NULL:
-        return None
-    if data_type is DataType.INTEGER:
-        return int(text)
-    if data_type is DataType.FLOAT:
-        return float(text)
-    if data_type is DataType.BOOLEAN:
-        return text == "true"
-    return text
-
-
-def database_manifest(database: Database) -> dict:
-    """The JSON-safe schema manifest for ``database``.
-
-    The CSV round-trip writes it as ``schema.json``; a ``kb.db`` written
-    by :func:`save_sqlite` loads back to the same manifest, apart from
-    the database name (the file's stem).
-    """
-    return {
-        "database": database.name,
-        "tables": [
-            {
-                "name": table.schema.name,
-                "primary_key": table.schema.primary_key,
-                "columns": [
-                    {
-                        "name": col.name,
-                        "type": col.data_type.value,
-                        "nullable": col.nullable,
-                    }
-                    for col in table.schema.columns
-                ],
-                "foreign_keys": [
-                    {
-                        "column": fk.column,
-                        "referenced_table": fk.referenced_table,
-                        "referenced_column": fk.referenced_column,
-                    }
-                    for fk in table.schema.foreign_keys
-                ],
-            }
-            for table in database.tables()
-        ],
-    }
-
-
-def table_schema_from_manifest(tdata: dict) -> TableSchema:
-    """Rebuild one :class:`TableSchema` from its manifest entry."""
-    return TableSchema(
-        name=tdata["name"],
-        columns=[
-            Column(
-                c["name"],
-                DataType(c["type"]),
-                nullable=c.get("nullable", True),
-            )
-            for c in tdata["columns"]
-        ],
-        primary_key=tdata.get("primary_key"),
-        foreign_keys=[
-            ForeignKey(
-                fk["column"], fk["referenced_table"], fk["referenced_column"]
-            )
-            for fk in tdata.get("foreign_keys", [])
-        ],
-    )
-
-
-def save_database(database: Database, directory: str | Path) -> Path:
-    """Write ``database`` to ``directory`` (created if needed).
-
-    Returns the manifest path.  Layout: ``schema.json`` plus one
-    ``<table>.csv`` per table with a header row.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = database_manifest(database)
-    manifest_path = directory / MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    for table in database.tables():
-        with open(directory / f"{table.name}.csv", "w", newline="",
-                  encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(table.schema.column_names())
-            for row in table.rows:
-                writer.writerow([_encode(v) for v in row])
-    return manifest_path
-
-
-def load_database(directory: str | Path) -> Database:
-    """Load a database written by :func:`save_database`.
-
-    Tables are created and filled in manifest order, so foreign keys
-    validate as rows stream in.
-    """
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise KBError(f"no {MANIFEST_NAME} manifest in {directory}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise KBError(f"invalid manifest: {exc}") from exc
-
-    database = Database(manifest.get("database", "kb"))
-    for tdata in manifest.get("tables", []):
-        schema = table_schema_from_manifest(tdata)
-        database.create_table(schema)
-        csv_path = directory / f"{schema.name}.csv"
-        if not csv_path.exists():
-            continue  # an empty table need not ship a CSV
-        with open(csv_path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                continue
-            expected = [c.lower() for c in schema.column_names()]
-            if [h.lower() for h in header] != expected:
-                raise KBError(
-                    f"{csv_path.name}: header {header} does not match the "
-                    f"manifest columns {schema.column_names()}"
-                )
-            types = [col.data_type for col in schema.columns]
-            for line_number, raw in enumerate(reader, start=2):
-                if len(raw) != len(types):
-                    raise KBError(
-                        f"{csv_path.name}: line {line_number} has "
-                        f"{len(raw)} fields, expected {len(types)}"
-                    )
-                try:
-                    values = [
-                        _decode(text, data_type)
-                        for text, data_type in zip(raw, types)
-                    ]
-                except ValueError as exc:
-                    raise KBError(
-                        f"{csv_path.name}: line {line_number}: {exc}"
-                    ) from exc
-                database.insert(schema.name, values)
-    return database
 
 
 #: Declared SQLite column types.  Integers are declared ``INT``: a
@@ -210,31 +51,35 @@ def _table_ddl(schema: TableSchema) -> str:
 
 
 def save_sqlite(database: Database, path: str | Path) -> Path:
-    """Write ``database`` to a new SQLite file at ``path``.
+    """Write ``database`` as a SQLite file at ``path``.
 
-    An existing file is replaced.  Booleans are stored as 0/1; tables
-    are created in creation order, so every foreign key's target exists.
+    The file is built in a scratch directory and then replaces ``path``
+    atomically (:func:`repro.atomic.atomic_write`), so a failed write
+    leaves ``path`` as it was.  Booleans are stored as 0/1; tables are
+    created in creation order, so every foreign key's target exists.
     """
     import sqlite3
 
     path = Path(path)
-    path.unlink(missing_ok=True)
-    try:
-        connection = sqlite3.connect(path)
+    with tempfile.TemporaryDirectory() as scratch:
+        built = Path(scratch) / "kb.db"
         try:
-            with connection:
-                for table in database.tables():
-                    connection.execute(_table_ddl(table.schema))
-                    marks = ", ".join("?" * len(table.schema.columns))
-                    connection.executemany(
-                        f"INSERT INTO {_quote(table.name)} VALUES ({marks})",
-                        table.rows,
-                    )
-        finally:
-            connection.close()
-    except (sqlite3.Error, OverflowError) as exc:
-        path.unlink(missing_ok=True)
-        raise KBError(f"could not write {path}: {exc}") from exc
+            connection = sqlite3.connect(built)
+            try:
+                with connection:
+                    for table in database.tables():
+                        connection.execute(_table_ddl(table.schema))
+                        marks = ", ".join("?" * len(table.schema.columns))
+                        connection.executemany(
+                            f"INSERT INTO {_quote(table.name)} "
+                            f"VALUES ({marks})",
+                            table.rows,
+                        )
+            finally:
+                connection.close()
+        except (sqlite3.Error, OverflowError) as exc:
+            raise KBError(f"could not write {path}: {exc}") from exc
+        atomic_write(path, built.read_bytes())
     return path
 
 
@@ -245,7 +90,7 @@ def _affinity_type(declared: str, table: str, column: str) -> DataType:
         raise KBError(
             f"{table}.{column} has no declared type; a kb.db written by an "
             "older repro stores untyped columns: re-export it with "
-            "`repro export --sqlite`"
+            "`repro export`"
         )
     if "BOOL" in text:
         return DataType.BOOLEAN

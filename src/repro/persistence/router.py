@@ -247,9 +247,9 @@ class SessionRouter(AsyncHTTPServer):
     """Spawns, fronts and supervises N conversation-server workers.
 
     ``worker_args`` is appended to every worker's command line — the
-    agent-definition flags (``--space``/``--data``/``--name`` …) and
-    durability tuning (``--fsync`` …) pass through untouched, so the
-    router stays agnostic of how agents are built.
+    agent's ``--artifacts`` directory and durability tuning
+    (``--fsync`` …) pass through untouched, so the router stays
+    agnostic of how agents are built.
 
     The router serves on the shared asyncio front end
     (:class:`~repro.serving.frontend.AsyncHTTPServer`) from its own

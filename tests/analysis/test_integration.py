@@ -132,9 +132,11 @@ class TestCLI:
 
 
 def _export_toy_space(tmp_path, mutate=None):
-    """Build the toy space, optionally seed a defect, export space+KB."""
-    from repro.bootstrap import bootstrap_conversation_space, space_to_dict
-    from repro.kb.io import save_database
+    """Build the toy space, optionally seed a defect, and write the
+    agent built on it as an artifact directory."""
+    from repro.artifacts import write_artifacts
+    from repro.bootstrap import bootstrap_conversation_space
+    from repro.engine import ConversationAgent
     from repro.ontology import generate_ontology
     from tests.conftest import make_toy_database
 
@@ -145,15 +147,12 @@ def _export_toy_space(tmp_path, mutate=None):
     )
     if mutate is not None:
         mutate(space)
-    space_path = tmp_path / "space.json"
-    space_path.write_text(
-        json.dumps(space_to_dict(space)), encoding="utf-8"
+    artifacts = write_artifacts(
+        tmp_path / "artifacts", ConversationAgent.build(space, database)
     )
-    kb_dir = tmp_path / "kb"
-    save_database(database, kb_dir)
     empty_baseline = tmp_path / "baseline"
     empty_baseline.write_text("# empty\n", encoding="utf-8")
-    return space_path, kb_dir, empty_baseline
+    return artifacts, empty_baseline
 
 
 class TestAuditCLI:
@@ -220,9 +219,9 @@ class TestAuditCLI:
                 sql="SELECT d.name FROM drug d WHERE d.name = 5",
             )]
 
-        space_path, kb_dir, baseline = _export_toy_space(tmp_path, mutate)
+        artifacts, baseline = _export_toy_space(tmp_path, mutate)
         assert main([
-            "audit", "--space", str(space_path), "--data", str(kb_dir),
+            "audit", "--artifacts", str(artifacts),
             "--baseline", str(baseline),
         ]) == 1
         assert "T001" in capsys.readouterr().out
@@ -241,9 +240,9 @@ class TestAuditCLI:
                 TrainingExample(utterance=example.utterance, intent=other)
             )
 
-        space_path, kb_dir, baseline = _export_toy_space(tmp_path, mutate)
+        artifacts, baseline = _export_toy_space(tmp_path, mutate)
         assert main([
-            "audit", "--space", str(space_path), "--data", str(kb_dir),
+            "audit", "--artifacts", str(artifacts),
             "--baseline", str(baseline),
         ]) == 1
         assert "A001" in capsys.readouterr().out
@@ -262,9 +261,9 @@ class TestAuditCLI:
                     parameters={"drug": "Drug"},
                 )]
 
-        space_path, kb_dir, baseline = _export_toy_space(tmp_path, mutate)
+        artifacts, baseline = _export_toy_space(tmp_path, mutate)
         argv = [
-            "audit", "--space", str(space_path), "--data", str(kb_dir),
+            "audit", "--artifacts", str(artifacts),
             "--baseline", str(baseline),
         ]
         assert main(argv) == 0  # A004 is a warning

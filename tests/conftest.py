@@ -160,3 +160,30 @@ def mdx_small_space(mdx_small_db, mdx_small_ontology):
 def mdx_agent():
     """The full Conversational MDX agent (built once per test session)."""
     return build_mdx_agent()
+
+
+@pytest.fixture(scope="session")
+def mdx_artifacts(tmp_path_factory):
+    """A fresh ``repro export`` directory (read-only: copy it to edit it)."""
+    from repro.cli import main
+
+    out = tmp_path_factory.mktemp("mdx-artifacts")
+    assert main(["export", "--out", str(out)]) == 0
+    return out
+
+
+def reseal(directory) -> None:
+    """Rewrite ``artifacts.json`` to match the directory's files as they
+    are now, as if the export had written them."""
+    import hashlib
+    import json
+
+    from repro.artifacts import FILES, MANIFEST_FILE
+
+    digests = {
+        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        for name in FILES
+    }
+    (directory / MANIFEST_FILE).write_text(
+        json.dumps({"sha256": digests}), encoding="utf-8"
+    )

@@ -20,8 +20,7 @@ class TestParser:
 
     def test_chat_defaults(self):
         args = build_parser().parse_args(["chat"])
-        assert args.space is None
-        assert args.name == "Assistant"
+        assert args.artifacts is None
         assert args.trace is False
 
     def test_chat_trace_flag(self):
@@ -40,10 +39,11 @@ class TestExportAndChatRoundTrip:
         lines = []
         args = build_parser().parse_args(["export", "--out", str(out)])
         assert cmd_export(args, output_fn=lines.append) == 0
-        assert (out / "conversation_space.json").exists()
-        assert (out / "ontology.owl").exists()
-        assert (out / "kb" / "schema.json").exists()
-        assert (out / "dialogue_logic_table.txt").exists()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "artifacts.json", "conversation_space.json",
+            "dialogue_logic_table.txt", "intent_model.npz", "kb.db",
+            "ontology.owl",
+        ]
         space = json.loads((out / "conversation_space.json").read_text())
         assert any(
             i["name"] == "Drugs That Treat Condition" for i in space["intents"]
@@ -55,7 +55,7 @@ class TestExportAndChatRoundTrip:
         # the fitted model too (it is written atomically): a server run
         # as another user can read what ``export`` wrote.
         out = tmp_path / "artifacts"
-        args = build_parser().parse_args(["export", "--sqlite", "--out", str(out)])
+        args = build_parser().parse_args(["export", "--out", str(out)])
         previous = os.umask(umask)
         try:
             assert cmd_export(args, output_fn=lambda _line: None) == 0
@@ -68,15 +68,9 @@ class TestExportAndChatRoundTrip:
         assert "intent_model.npz" in modes and "kb.db" in modes
         assert modes == {name: 0o666 & ~umask for name in modes}
 
-    def test_chat_from_exported_artifacts(self, tmp_path):
-        out = tmp_path / "artifacts"
-        export_args = build_parser().parse_args(["export", "--out", str(out)])
-        cmd_export(export_args, output_fn=lambda _line: None)
-
+    def test_chat_from_exported_artifacts(self, mdx_artifacts):
         chat_args = build_parser().parse_args([
-            "chat", "--space", str(out / "conversation_space.json"),
-            "--data", str(out / "kb"),
-            "--name", "Micromedex", "--domain", "drug reference",
+            "chat", "--artifacts", str(mdx_artifacts),
         ])
         script = iter([
             "adverse effects of aspirin", "+1",
@@ -95,15 +89,9 @@ class TestExportAndChatRoundTrip:
         # Equation 1 over the session's own turns: 1 of 2 marked down.
         assert transcript[-1] == "Session over. Equation-1 success rate: 50.0%"
 
-    def test_chat_trace_prints_stage_breakdown(self, tmp_path):
-        out = tmp_path / "artifacts"
-        export_args = build_parser().parse_args(["export", "--out", str(out)])
-        cmd_export(export_args, output_fn=lambda _line: None)
-
+    def test_chat_trace_prints_stage_breakdown(self, mdx_artifacts):
         chat_args = build_parser().parse_args([
-            "chat", "--trace",
-            "--space", str(out / "conversation_space.json"),
-            "--data", str(out / "kb"),
+            "chat", "--trace", "--artifacts", str(mdx_artifacts),
         ])
         script = iter(["adverse effects of aspirin", "quit"])
         transcript = []
@@ -118,11 +106,6 @@ class TestExportAndChatRoundTrip:
         assert "classify" in traces[0]
         assert "decided by [answer]" in traces[0]
         assert "kind=answer" in traces[0]
-
-    def test_chat_space_without_data_rejected(self):
-        args = build_parser().parse_args(["chat", "--space", "x.json"])
-        with pytest.raises(SystemExit):
-            cmd_chat(args, input_fn=lambda _p: "quit", output_fn=lambda _l: None)
 
 
 class TestSessionsExport:

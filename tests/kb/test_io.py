@@ -1,22 +1,22 @@
-"""Tests for KB CSV import/export."""
+"""``kb.db`` round trips: tables, rows and schema, NULL against the
+empty string, queries on a reloaded KB, and a generated MDX KB."""
 
-import pytest
+from repro.kb.io import load_sqlite, save_sqlite
 
-from repro.errors import KBError
-from repro.kb.io import load_database, save_database
+
+def round_trip(db, tmp_path):
+    return load_sqlite(save_sqlite(db, tmp_path / "kb.db"))
 
 
 class TestRoundTrip:
     def test_all_tables_and_rows_preserved(self, toy_db, tmp_path):
-        save_database(toy_db, tmp_path)
-        restored = load_database(tmp_path)
+        restored = round_trip(toy_db, tmp_path)
         assert restored.table_names() == toy_db.table_names()
         for name in toy_db.table_names():
             assert restored.table(name).rows == toy_db.table(name).rows
 
     def test_schema_preserved(self, toy_db, tmp_path):
-        save_database(toy_db, tmp_path)
-        restored = load_database(tmp_path)
+        restored = round_trip(toy_db, tmp_path)
         schema = restored.table("precaution").schema
         assert schema.primary_key == "p_id"
         assert schema.foreign_key_for("drug_id").referenced_table == "drug"
@@ -33,64 +33,20 @@ class TestRoundTrip:
         db.insert("t", {"i": 1, "f": 2.5, "s": "x", "b": True})
         db.insert("t", {"i": None, "f": None, "s": None, "b": False})
         db.insert("t", {"s": ""})  # empty string is not NULL
-        save_database(db, tmp_path)
-        restored = load_database(tmp_path)
-        rows = restored.table("t").rows
+        rows = round_trip(db, tmp_path).table("t").rows
         assert rows[0] == (1, 2.5, "x", True)
         assert rows[1] == (None, None, None, False)
-        assert rows[2][2] == ""
+        assert rows[2] == (None, None, "", None)
 
     def test_queries_work_after_reload(self, toy_db, tmp_path):
-        save_database(toy_db, tmp_path)
-        restored = load_database(tmp_path)
+        restored = round_trip(toy_db, tmp_path)
         result = restored.query(
             "SELECT name FROM drug WHERE drug_id = :id", {"id": 1}
         )
         assert result.rows == [("Aspirin",)]
 
     def test_mdx_round_trips(self, mdx_small_db, tmp_path):
-        save_database(mdx_small_db, tmp_path)
-        restored = load_database(tmp_path)
-        assert sum(len(t) for t in restored.tables()) == sum(
-            len(t) for t in mdx_small_db.tables()
-        )
-
-
-class TestValidation:
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(KBError, match="manifest"):
-            load_database(tmp_path)
-
-    def test_corrupt_manifest(self, tmp_path):
-        (tmp_path / "schema.json").write_text("{broken")
-        with pytest.raises(KBError, match="invalid manifest"):
-            load_database(tmp_path)
-
-    def test_header_mismatch(self, toy_db, tmp_path):
-        save_database(toy_db, tmp_path)
-        csv_path = tmp_path / "drug.csv"
-        lines = csv_path.read_text().splitlines()
-        lines[0] = "wrong,header,here"
-        csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(KBError, match="header"):
-            load_database(tmp_path)
-
-    def test_bad_value_reports_line(self, toy_db, tmp_path):
-        save_database(toy_db, tmp_path)
-        csv_path = tmp_path / "drug.csv"
-        lines = csv_path.read_text().splitlines()
-        lines[1] = "notanint,Aspirin,Bayer"
-        csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(KBError, match="line 2"):
-            load_database(tmp_path)
-
-    def test_missing_csv_leaves_table_empty(self, toy_db, tmp_path):
-        save_database(toy_db, tmp_path)
-        (tmp_path / "risk.csv").unlink()
-        # risk rows gone; its children's FK rows now fail to validate —
-        # remove them too for a consistent reload.
-        (tmp_path / "contra_indication.csv").unlink()
-        (tmp_path / "black_box_warning.csv").unlink()
-        restored = load_database(tmp_path)
-        assert len(restored.table("risk")) == 0
-        assert len(restored.table("drug")) == 7
+        restored = round_trip(mdx_small_db, tmp_path)
+        assert restored.table_names() == mdx_small_db.table_names()
+        for table in mdx_small_db.tables():
+            assert restored.table(table.name).rows == table.rows

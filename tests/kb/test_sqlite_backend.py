@@ -22,7 +22,7 @@ from repro.errors import (
     UnknownTableError,
 )
 from repro.kb import Column, Database, DataType, TableSchema
-from repro.kb.io import database_manifest, load_sqlite, save_sqlite
+from repro.kb.io import load_sqlite, save_sqlite
 from repro.medical import build_mdx_database
 from tests.conftest import make_toy_database
 
@@ -63,13 +63,14 @@ def round_trip(db: Database, directory: Path) -> Database:
     return load_sqlite(save_sqlite(db, directory / "kb.db"))
 
 
+def schemas(db: Database) -> list[TableSchema]:
+    """Every table's schema (columns, types, keys), in creation order."""
+    return [table.schema for table in db.tables()]
+
+
 def assert_same_database(original: Database, loaded: Database) -> None:
-    """Equal manifests apart from the name; equal typed rows in order."""
-    expected = database_manifest(original)
-    actual = database_manifest(loaded)
-    expected.pop("database")
-    actual.pop("database")
-    assert actual == expected
+    """Equal schemas in the same order; equal typed rows in order."""
+    assert schemas(loaded) == schemas(original)
     for table in original.tables():
         assert typed(loaded.table(table.name).rows) == typed(table.rows)
 
@@ -93,9 +94,7 @@ class TestRoundTrip:
     def test_schema_and_metadata_survive(self, toy_db, toy_loaded):
         assert toy_loaded.name == "kb"  # the file's stem
         assert toy_loaded.table_names() == toy_db.table_names()
-        expected = database_manifest(toy_db)
-        expected["database"] = "kb"
-        assert database_manifest(toy_loaded) == expected
+        assert schemas(toy_loaded) == schemas(toy_db)
 
     def test_rows_identical_per_table(self, toy_db, toy_loaded):
         for name in toy_db.table_names():
@@ -310,7 +309,8 @@ class TestWriteErrors:
 
 class TestReadOnly:
     def test_mutators_raise(self, tmp_path):
-        # ``check --kb`` checks a loaded file frozen, as a server serves it.
+        # ``check --artifacts`` checks a loaded file frozen, as a server
+        # serves it.
         loaded = round_trip(make_toy_database(), tmp_path).freeze()
         with pytest.raises(KBError, match="frozen"):
             loaded.insert("drug", {"drug_id": 99, "name": "X"})

@@ -1,23 +1,21 @@
 """Fixtures for the persistence tests.
 
 Durability tests need agents twice over: an in-process one to drive
-``DurableSessionStore`` directly, and exported artifacts (conversation
-space JSON + CSV KB) so router tests can spawn worker *subprocesses*
-that rebuild the identical agent in about a second.  The agent build is
-deterministic, so an uninterrupted control conversation and a
-crash-recovered one can be compared byte for byte.
+``DurableSessionStore`` directly, and an artifact directory (space,
+intent model and ``kb.db``) so router tests can spawn worker
+*subprocesses* that load the identical agent in about a second.  The
+agent build is deterministic, so an uninterrupted control conversation
+and a crash-recovered one can be compared byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.bootstrap import space_to_dict
+from repro.artifacts import write_artifacts
 from repro.engine import ConversationAgent
-from repro.kb.io import save_database
 from tests.serving.conftest import build_toy_agent
 
 #: A multi-turn conversation exercising context carry-over (the
@@ -31,9 +29,6 @@ GOLDEN_SCRIPT = [
     "how about Fluocinonide?",
 ]
 
-TOY_AGENT_NAME = "ToyServe"
-TOY_AGENT_DOMAIN = "toy drug reference"
-
 
 @pytest.fixture
 def agent() -> ConversationAgent:
@@ -42,14 +37,10 @@ def agent() -> ConversationAgent:
 
 @pytest.fixture(scope="session")
 def toy_artifacts(tmp_path_factory: pytest.TempPathFactory) -> Path:
-    """Exported toy space + CSV KB, for ``serve --space ... --data ...``."""
-    out = tmp_path_factory.mktemp("toy-artifacts")
-    agent = build_toy_agent()
-    (out / "space.json").write_text(
-        json.dumps(space_to_dict(agent.space)), encoding="utf-8"
+    """The toy agent's artifact directory, for ``serve --artifacts``."""
+    return write_artifacts(
+        tmp_path_factory.mktemp("toy-artifacts"), build_toy_agent()
     )
-    save_database(agent.database, out / "kb")
-    return out
 
 
 def run_script(

@@ -41,10 +41,7 @@ def router(tmp_path, toy_artifacts, monkeypatch):
         spawn_timeout=120.0,
         health_interval=0.25,
         worker_args=[
-            "--space", str(toy_artifacts / "space.json"),
-            "--data", str(toy_artifacts / "kb"),
-            "--name", "ToyServe",
-            "--domain", "toy drug reference",
+            "--artifacts", str(toy_artifacts),
             "--fsync", "never",
             "--turn-threads", "4",
             "--cache-size", "16",

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.artifacts import write_artifacts
 from repro.cli import build_parser, cmd_serve
 from repro.serving import AsyncConversationServer
 from tests.conftest import TOY_DRUGS
@@ -364,7 +365,7 @@ class TestServeCommand:
 
     def test_serve_smoke(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.cli._build_agent", lambda args: build_toy_agent()
+            "repro.cli._build_agent", lambda args: (build_toy_agent(), None)
         )
         args = build_parser().parse_args([
             "serve", "--port", "0", "--session-ttl", "60",
@@ -378,7 +379,7 @@ class TestServeCommand:
         # The asyncio front end is the only one; --async stays valid on
         # existing command lines and selects nothing.
         monkeypatch.setattr(
-            "repro.cli._build_agent", lambda args: build_toy_agent()
+            "repro.cli._build_agent", lambda args: (build_toy_agent(), None)
         )
         servers = []
         original = AsyncConversationServer.start
@@ -426,7 +427,7 @@ def stub_router(monkeypatch):
 
 class TestServeRouterCommand:
     FORWARDED = (
-        "space", "data", "name", "domain", "session_ttl", "max_sessions",
+        "artifacts", "session_ttl", "max_sessions",
         "cache_size", "turn_threads", "request_timeout", "fsync",
         "snapshot_every", "rate_limit", "rate_burst",
     )
@@ -434,10 +435,10 @@ class TestServeRouterCommand:
     def test_worker_args_round_trip_through_the_parser(
         self, stub_router, tmp_path
     ):
+        artifacts = write_artifacts(tmp_path / "artifacts", build_toy_agent())
         args = build_parser().parse_args([
             "serve", "--workers", "2", "--data-dir", str(tmp_path),
-            "--space", "space.json", "--data", "csv", "--name", "Bot",
-            "--domain", "drugs",
+            "--artifacts", str(artifacts),
             "--session-ttl", "60", "--max-sessions", "10",
             "--cache-size", "32", "--turn-threads", "4",
             "--request-timeout", "5", "--fsync", "never",

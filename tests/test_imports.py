@@ -7,7 +7,8 @@ lazily to make that so.  The serving processes that hold the model
 load the shipped intent model instead of fitting it, and score without
 ``scipy.sparse``, which only ``SoftmaxClassifier.fit`` imports.  Nor do
 they load networkx, which only the offline ``pagerank``/``betweenness``
-centralities use.
+centralities use.  A server started from an ``--artifacts`` directory
+also loads ``sqlite3``, to read its ``kb.db``; the default one does not.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in %r)))
 
 
 #: Starts and drains ``repro serve`` with the arguments after ``--``
-#: through the CLI (which builds the MDX agent and imports the server),
-#: answers one turn with the agent it built, then prints the networkx,
-#: scipy and sqlite3 modules the process loaded.  Any call to
+#: through the CLI (which builds or loads the MDX agent and imports the
+#: server), answers one turn with the agent it built, then prints the
+#: networkx, scipy and sqlite3 modules the process loaded.  Any call to
 #: ``SoftmaxClassifier.fit`` fails the process.
 _SERVING_PROCESS = """
 import sys
@@ -62,13 +63,13 @@ def fit(*args, **kwargs):
     raise AssertionError("a serving process called SoftmaxClassifier.fit")
 
 SoftmaxClassifier.fit = fit
-agents = []
+builds = []
 build_agent = cli._build_agent
-cli._build_agent = lambda args: agents.append(build_agent(args)) or agents[-1]
+cli._build_agent = lambda args: builds.append(build_agent(args)) or builds[-1]
 args = cli.build_parser().parse_args(sys.argv[sys.argv.index("--") + 1:])
 assert cli.cmd_serve(args, output_fn=lambda line: None, run_forever=False) == 0
 assert "repro.serving.server" in sys.modules
-[agent] = agents
+[(agent, _)] = builds
 assert agent.session().ask("dosage for Tazarotene").intent
 print(sorted(
     m for m in sys.modules
@@ -100,8 +101,8 @@ def test_importing_the_package_loads_no_model_libraries():
 
 
 def test_serving_process_loads_no_networkx():
-    # Nor scipy, nor sqlite3: a kb.db is a file format the CLI reads,
-    # not something a server imports.
+    # Nor scipy, nor sqlite3: the default server builds MDX in-process
+    # and reads no kb.db.
     result = _run("-c", _SERVING_PROCESS, "--", "serve", "--port", "0")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
@@ -113,6 +114,22 @@ def test_router_worker_loads_no_scipy_and_never_fits(tmp_path):
                   "--data-dir", str(tmp_path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("worker", [[], [
+    "--workers", "2", "--worker-index", "0", "--data-dir", "{data_dir}",
+]], ids=["single", "worker"])
+def test_serving_from_artifacts_loads_no_scipy_and_never_fits(
+    mdx_artifacts, tmp_path, worker
+):
+    # sqlite3 is the one addition: the served kb.db needs it.
+    result = _run("-c", _SERVING_PROCESS, "--", "serve", "--port", "0",
+                  "--artifacts", str(mdx_artifacts),
+                  *[arg.format(data_dir=tmp_path) for arg in worker])
+    assert result.returncode == 0, result.stderr
+    loaded = ast.literal_eval(result.stdout.splitlines()[-1])
+    assert "sqlite3" in loaded
+    assert [m for m in loaded if m.split(".")[0] != "sqlite3"] == []
 
 
 @pytest.mark.parametrize("modules, libraries", [
