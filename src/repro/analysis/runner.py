@@ -96,20 +96,17 @@ def _report(
 def _build_space(args: argparse.Namespace):
     """The space under check and its KB: an ``--artifacts`` directory
     (its KB loaded and frozen, as a server serves it), or the shipped
-    MDX built in-process."""
+    MDX agent built in-process, as ``repro serve`` serves it (the
+    paper's intent names, the management intents folded in)."""
     if args.artifacts:
         from repro.artifacts import load_artifacts
 
         artifacts = load_artifacts(args.artifacts)
         return artifacts.space, artifacts.database
-    from repro.medical import build_mdx_database, build_mdx_space
-    from repro.medical.build import rename_to_paper_intents
+    from repro.medical import build_mdx_agent
 
-    database = build_mdx_database()
-    space = build_mdx_space(database)
-    # Mirror what `repro serve` ships: the paper's intent names.
-    rename_to_paper_intents(space)
-    return space, database
+    agent = build_mdx_agent()
+    return agent.space, agent.database.backend
 
 
 def _ambiguity_config(args: argparse.Namespace) -> AmbiguityConfig:

@@ -60,18 +60,26 @@ class Database:
         key = schema.name.lower()
         if key in self._tables:
             raise SchemaError(f"table {schema.name!r} already exists")
-        for fk in schema.foreign_keys:
-            self._validate_foreign_key(schema, fk)
         table = Table(schema)
+        # Resolved once: each insert checks a foreign key with one
+        # lookup in the target's primary-key index.
+        table._foreign_keys = [
+            (schema.column_index(fk.column),
+             self._foreign_key_target(table, fk)._pk_index, fk)
+            for fk in schema.foreign_keys
+        ]
         self._tables[key] = table
         # Cached plans resolved names against the old catalog.
         self._plan_cache.clear()
         return table
 
-    def _validate_foreign_key(self, schema: TableSchema, fk: ForeignKey) -> None:
+    def _foreign_key_target(self, table: Table, fk: ForeignKey) -> Table:
+        """The table ``fk`` of the new ``table`` references, after
+        checking that the reference names its primary key."""
+        schema = table.schema
         # Self-references are allowed; other targets must already exist.
         if fk.referenced_table.lower() == schema.name.lower():
-            target_schema = schema
+            target = table
         else:
             target = self._tables.get(fk.referenced_table.lower())
             if target is None:
@@ -79,7 +87,7 @@ class Database:
                     f"table {schema.name!r}: foreign key references unknown "
                     f"table {fk.referenced_table!r}"
                 )
-            target_schema = target.schema
+        target_schema = target.schema
         if not target_schema.has_column(fk.referenced_column):
             raise SchemaError(
                 f"table {schema.name!r}: foreign key references unknown column "
@@ -92,6 +100,7 @@ class Database:
                 f"table {schema.name!r}: foreign key must reference the "
                 f"primary key of {fk.referenced_table!r}"
             )
+        return target
 
     def has_table(self, name: str) -> bool:
         """Return True if a table named ``name`` exists (case-insensitive)."""
@@ -123,21 +132,7 @@ class Database:
     ) -> tuple[Any, ...]:
         """Insert one row, enforcing foreign keys against referenced tables."""
         self._check_writable("insert")
-        table = self.table(table_name)
-        row = table._build_row(values)
-        for fk in table.schema.foreign_keys:
-            idx = table.schema.column_index(fk.column)
-            value = row[idx]
-            if value is None:
-                continue
-            target = self.table(fk.referenced_table)
-            if not target.has_pk(value):
-                raise IntegrityError(
-                    f"table {table.name!r}: foreign key violation — "
-                    f"{fk.column}={value!r} not found in "
-                    f"{fk.referenced_table}.{fk.referenced_column}"
-                )
-        return table.insert(row)
+        return self._insert(self.table(table_name), values)
 
     def insert_many(
         self, table_name: str, rows: Iterable[dict[str, Any] | Iterable[Any]]
@@ -145,10 +140,26 @@ class Database:
         """Insert many rows; returns the number inserted."""
         self._check_writable("insert_many")
         count = 0
-        for row in rows:
-            self.insert(table_name, row)
+        for values in rows:
+            self._insert(self.table(table_name), values)
             count += 1
         return count
+
+    @staticmethod
+    def _insert(
+        table: Table, values: dict[str, Any] | Iterable[Any]
+    ) -> tuple[Any, ...]:
+        """Build the row once, check its foreign keys, then store it."""
+        row = table._build_row(values)
+        for position, target_keys, fk in table._foreign_keys:
+            value = row[position]
+            if value is not None and value not in target_keys:
+                raise IntegrityError(
+                    f"table {table.name!r}: foreign key violation — "
+                    f"{fk.column}={value!r} not found in "
+                    f"{fk.referenced_table}.{fk.referenced_column}"
+                )
+        return table._append(row)
 
     # -- queries -----------------------------------------------------------------
 

@@ -98,28 +98,27 @@ class TableSchema:
                     f"table {self.name!r}: foreign-key column {fk.column!r} "
                     "is not a column"
                 )
-        self._by_name = {col.name.lower(): col for col in self.columns}
+        # lower-cased column name -> position
+        self._positions = {
+            col.name.lower(): i for i, col in enumerate(self.columns)
+        }
 
     # -- lookups ----------------------------------------------------------
 
     def column(self, name: str) -> Column:
         """Return the column named ``name`` (case-insensitive)."""
-        try:
-            return self._by_name[name.lower()]
-        except KeyError:
-            raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
+        return self.columns[self.column_index(name)]
 
     def has_column(self, name: str) -> bool:
         """Return True if a column named ``name`` exists (case-insensitive)."""
-        return name.lower() in self._by_name
+        return name.lower() in self._positions
 
     def column_index(self, name: str) -> int:
         """Return the positional index of column ``name``."""
-        low = name.lower()
-        for i, col in enumerate(self.columns):
-            if col.name.lower() == low:
-                return i
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._positions[name.lower()]
+        except KeyError:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
 
     def column_names(self) -> list[str]:
         """Return the column names in declaration order."""

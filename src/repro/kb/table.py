@@ -6,7 +6,7 @@ import time
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import IntegrityError, KBError
-from repro.kb.schema import TableSchema
+from repro.kb.schema import ForeignKey, TableSchema
 from repro.kb.types import coerce_value, normalize_key
 
 
@@ -43,6 +43,15 @@ class Table:
             if schema.primary_key is not None
             else None
         )
+        # The row builder, compiled once: per column its name, type,
+        # nullability and the Python type coerce_value stores unchanged.
+        self._column_specs = [
+            (col.name, col.data_type, col.nullable, col.data_type.python_type())
+            for col in schema.columns
+        ]
+        # (column position, the target's PK index, fk), set by the
+        # owning Database, which can see the referenced tables.
+        self._foreign_keys: list[tuple[int, dict[Any, int], ForeignKey]] = []
         self._frozen = False
         # column position -> {normalized value -> ascending row positions}
         self._indexes: dict[int, dict[Any, list[int]]] = {}
@@ -79,7 +88,46 @@ class Table:
         """
         if self._frozen:
             raise KBError(f"table {self.name!r} is frozen: insert is not allowed")
-        row = self._build_row(values)
+        return self._append(self._build_row(values))
+
+    def _build_row(self, values: dict[str, Any] | Iterable[Any]) -> tuple[Any, ...]:
+        if isinstance(values, dict):
+            positions = self.schema._positions
+            raw: list[Any] = [None] * len(self._column_specs)
+            unknown = []
+            for key, value in values.items():
+                position = positions.get(key.lower())
+                if position is None:
+                    unknown.append(key)
+                else:
+                    raw[position] = value
+            if unknown:
+                raise IntegrityError(
+                    f"table {self.name!r}: unknown columns {unknown!r}"
+                )
+        else:
+            raw = list(values)
+            if len(raw) != len(self._column_specs):
+                raise IntegrityError(
+                    f"table {self.name!r}: expected {len(self._column_specs)} "
+                    f"values, got {len(raw)}"
+                )
+        out = []
+        for value, (name, data_type, nullable, stored_type) in zip(
+            raw, self._column_specs
+        ):
+            # coerce_value returns a value of its stored type unchanged.
+            if type(value) is not stored_type:
+                value = coerce_value(value, data_type, column=name)
+                if value is None and not nullable:
+                    raise IntegrityError(
+                        f"table {self.name!r}: column {name!r} is NOT NULL"
+                    )
+            out.append(value)
+        return tuple(out)
+
+    def _append(self, row: tuple[Any, ...]) -> tuple[Any, ...]:
+        """Store a built row: the primary-key checks, then the append."""
         if self._pk_index is not None:
             key = row[self._pk_pos]
             if key is None:
@@ -96,33 +144,6 @@ class Table:
             # Lazily rebuilt on next use; clearing keeps mutation O(1).
             self._indexes.clear()
         return row
-
-    def _build_row(self, values: dict[str, Any] | Iterable[Any]) -> tuple[Any, ...]:
-        columns = self.schema.columns
-        if isinstance(values, dict):
-            unknown = [k for k in values if not self.schema.has_column(k)]
-            if unknown:
-                raise IntegrityError(
-                    f"table {self.name!r}: unknown columns {unknown!r}"
-                )
-            lowered = {k.lower(): v for k, v in values.items()}
-            raw = [lowered.get(col.name.lower()) for col in columns]
-        else:
-            raw = list(values)
-            if len(raw) != len(columns):
-                raise IntegrityError(
-                    f"table {self.name!r}: expected {len(columns)} values, "
-                    f"got {len(raw)}"
-                )
-        out = []
-        for col, value in zip(columns, raw):
-            coerced = coerce_value(value, col.data_type, column=col.name)
-            if coerced is None and not col.nullable:
-                raise IntegrityError(
-                    f"table {self.name!r}: column {col.name!r} is NOT NULL"
-                )
-            out.append(coerced)
-        return tuple(out)
 
     # -- lookups ----------------------------------------------------------------
 

@@ -787,7 +787,9 @@ class ConversationApp:
             from repro.analysis.diagnostics import error_count
             from repro.analysis.space_checker import check_space
 
+            built = time.perf_counter()
             diagnostics = check_space(self.agent.space, database)
+            validated = time.perf_counter()
             errors = error_count(diagnostics)
             if errors:
                 raise ServingError(
@@ -805,6 +807,8 @@ class ConversationApp:
                 "epoch": epoch,
                 "tables": len(database.table_names()),
                 "duration_seconds": round(duration, 6),
+                "build_seconds": round(built - start, 6),
+                "validate_seconds": round(validated - built, 6),
                 "validation_errors": 0,
             }
         finally:

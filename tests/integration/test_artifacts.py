@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -89,6 +90,24 @@ class TestSameAgent:
         assert outputs[0] == outputs[1]
         if baseline == "empty":
             assert '"A003"' in outputs[0]
+
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    def test_flagless_commands_check_the_served_space(
+        self, mdx_artifacts, capsys, command
+    ):
+        # Without --artifacts, the space checked is the one `repro serve`
+        # serves: the management intents (and their training examples)
+        # are folded in, as in an export.  The headers differ only in
+        # the time taken.
+        headers = []
+        for source in ([], ["--artifacts", str(mdx_artifacts)]):
+            assert main([command, *source]) == 0
+            header = capsys.readouterr().out.splitlines()[0]
+            headers.append(re.sub(r" in [\d.]+s$", "", header))
+        assert headers[0] == headers[1]
+        if command == "check":
+            served = len(load_artifacts(mdx_artifacts).space.intents)
+            assert headers[0].startswith(f"repro check: {served} intents, ")
 
 
 class TestRefusals:

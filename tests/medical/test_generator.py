@@ -1,8 +1,38 @@
 """Tests for the synthetic MDX data generator."""
 
+import hashlib
+
 import pytest
 
-from repro.medical import GeneratorConfig, populate_mdx
+from repro.kb.io import load_sqlite, save_sqlite
+from repro.medical import GeneratorConfig, build_mdx_database, populate_mdx
+
+# sha256 over repr((name, column_names, rows)) of every table of the
+# default build, in creation order.
+MDX_TABLE_DIGEST = (
+    "7b6f5296d6308538624fc5ae53a5274653cd740f78b3bfb6b069390d3a6cf4ba"
+)
+
+
+def _typed(rows):
+    # True == 1 and 1 == 1.0: compare the stored Python types too.
+    return [[(type(value), value) for value in row] for row in rows]
+
+
+def test_default_build_is_pinned_and_round_trips(tmp_path):
+    db = build_mdx_database()
+    digest = hashlib.sha256()
+    for table in db.tables():
+        digest.update(repr(
+            (table.name, table.schema.column_names(), table.rows)
+        ).encode())
+    assert digest.hexdigest() == MDX_TABLE_DIGEST
+
+    save_sqlite(db, tmp_path / "kb.db")
+    restored = load_sqlite(tmp_path / "kb.db")
+    assert restored.table_names() == db.table_names()
+    for table in db.tables():
+        assert _typed(restored.table(table.name).rows) == _typed(table.rows)
 
 
 class TestDeterminism:

@@ -120,6 +120,8 @@ class TestRefreshBroadcast:
             assert worker["status"] == 200
             assert worker["body"]["status"] == "ok"
             assert worker["body"]["epoch"] == 1
+            # Each worker's split of its refresh time is passed through.
+            assert {"build_seconds", "validate_seconds"} <= set(worker["body"])
 
         # Both replicas keep answering, and metrics record the fan-out.
         status, answer = _chat(router, {"utterance": "dosage for Aspirin"})

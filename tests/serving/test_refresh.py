@@ -29,6 +29,12 @@ class TestRefreshContract:
         assert body["status"] == "ok"
         assert body["epoch"] == 1
         assert body["validation_errors"] == 0
+        # Where the time went: the load, then the validation, inside
+        # the whole (each rounded to the microsecond).
+        assert body["build_seconds"] >= 0
+        assert body["validate_seconds"] >= 0
+        assert (body["build_seconds"] + body["validate_seconds"]
+                <= body["duration_seconds"] + 2e-6)
         # The epoch numbers KB generations; nothing else repeats it.
         assert "generation" not in body
         assert handle.epoch == 1
